@@ -4,7 +4,9 @@ Every decision reduces to one orbit computation compared against a closed-form
 count, tried only after two exact-arithmetic shortcuts: an orbit can neither
 exceed the group order nor fail to divide it, so most negative verdicts are
 settled without any walk.  Verdicts are seed-independent, and all walks start
-from the canonical first object of the relevant kind.
+from the canonical first object of the relevant kind.  The walks run on the
+compact states of `perm.CompactAction`: bitmasks for sets and blocks, bytes
+for tuples of points.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 from .partitions import (
-    act_ordered_partition,
-    act_set_partition,
+    compact_ordered_partition,
+    compact_set_partition,
     count_ordered,
     count_unordered,
     first_partition_of_type,
@@ -24,7 +26,8 @@ from .partitions import (
 from .perm import (
     DEFAULT_ORBIT_CAP,
     act_set,
-    act_tuple,
+    compact_set,
+    compact_tuple,
     induced_action,
     orbit,
     stabilizer_generators,
@@ -70,18 +73,20 @@ class HomogeneityReport:
 
 
 def falling_factorial(n, t):
-    out = 1
-    for k in range(t):
-        out *= n - k
-    return out
+    return math.perm(n, t)
 
 
 def _decide_orbit(group, seed, act, expected, query, cap):
-    """Shared shortcut-then-BFS skeleton behind every decision below."""
+    """Shared shortcut-then-BFS skeleton behind every decision below.
+
+    `seed` is in canonical tuple form; the walk runs on its compact encoding
+    under the CompactAction `act`.
+    """
     order = group.order()
     if expected > order or order % expected != 0:
         return QueryResult(query, False, expected, None, METHOD_SHORTCUT)
-    size = len(orbit(group, seed, act, cap=cap))
+    start = act.encode(seed, group.degree)
+    size = len(orbit(group, start, act, cap=cap))
     return QueryResult(query, size == expected, expected, size, METHOD_BFS)
 
 
@@ -94,7 +99,8 @@ def decide_t_homogeneous(group, t, cap=DEFAULT_ORBIT_CAP):
     expected = math.comb(n, t)
     if t == 0:
         return QueryResult(query, True, 1, None, METHOD_SHORTCUT)
-    return _decide_orbit(group, tuple(range(t)), act_set, expected, query, cap)
+    return _decide_orbit(group, tuple(range(t)), compact_set, expected, query,
+                         cap)
 
 
 def decide_t_transitive(group, t, cap=DEFAULT_ORBIT_CAP):
@@ -105,7 +111,8 @@ def decide_t_transitive(group, t, cap=DEFAULT_ORBIT_CAP):
     if t == 0:
         return QueryResult(query, True, 1, None, METHOD_SHORTCUT)
     expected = falling_factorial(n, t)
-    return _decide_orbit(group, tuple(range(t)), act_tuple, expected, query, cap)
+    return _decide_orbit(group, tuple(range(t)), compact_tuple, expected, query,
+                         cap)
 
 
 def decide_lambda_homogeneous(group, lam, cap=DEFAULT_ORBIT_CAP):
@@ -116,7 +123,8 @@ def decide_lambda_homogeneous(group, lam, cap=DEFAULT_ORBIT_CAP):
         return QueryResult(query, True, 1, None, METHOD_SHORTCUT)
     expected = count_unordered(lam)
     seed = first_partition_of_type(lam)
-    return _decide_orbit(group, seed, act_set_partition, expected, query, cap)
+    return _decide_orbit(group, seed, compact_set_partition, expected, query,
+                         cap)
 
 
 def decide_lambda_transitive(group, lam, cap=DEFAULT_ORBIT_CAP):
@@ -124,7 +132,8 @@ def decide_lambda_transitive(group, lam, cap=DEFAULT_ORBIT_CAP):
     query = "lambda-transitive %s" % format_int_partition(lam)
     expected = count_ordered(lam)
     seed = first_partition_of_type(lam)
-    return _decide_orbit(group, seed, act_ordered_partition, expected, query, cap)
+    return _decide_orbit(group, seed, compact_ordered_partition, expected,
+                         query, cap)
 
 
 def _check_shape(group, lam):

@@ -19,6 +19,14 @@ import math
 from functools import lru_cache
 from itertools import combinations
 
+from .perm import (
+    CompactAction,
+    encode_points,
+    mask_of,
+    point_map,
+    points_of,
+)
+
 
 def parse_int_partition(text, n=None):
     """Parse "3,2,1" (or "3 2 1") into a canonical integer partition.
@@ -120,6 +128,44 @@ def act_set_partition(blocks, images):
 def act_ordered_partition(blocks, images):
     """Right action on an ordered set partition (block order preserved)."""
     return tuple(tuple(sorted(images[x] for x in b)) for b in blocks)
+
+
+def _set_partition_steps(group):
+    return [lambda x, f=f: tuple(sorted(map(f, x)))
+            for f in group.mask_maps()]
+
+
+def _decode_set_partition(masks, n):
+    covered = sum(masks)    # the blocks are disjoint
+    blocks = [points_of(m) for m in masks]
+    blocks += [(x,) for x in range(n) if not covered >> x & 1]
+    return canon_set_partition(blocks)
+
+
+# An unordered set partition as the sorted tuple of the masks of its blocks
+# of size at least 2; the singletons are the points no mask covers.
+compact_set_partition = CompactAction(
+    encode=lambda blocks, n: tuple(sorted(mask_of(b) for b in blocks
+                                          if len(b) > 1)),
+    decode=_decode_set_partition,
+    steps=_set_partition_steps)
+
+
+def _ordered_partition_steps(group):
+    return [lambda x, f=f, g=point_map(images): (tuple(map(f, x[0])), g(x[1]))
+            for f, images in zip(group.mask_maps(), group.raw_gens())]
+
+
+# An ordered set partition as the pair (masks of its blocks of size at least
+# 2 in block order, its trailing singleton points in order); block sizes are
+# non-increasing, so the singletons always come last.
+compact_ordered_partition = CompactAction(
+    encode=lambda blocks, n: (
+        tuple(mask_of(b) for b in blocks if len(b) > 1),
+        encode_points([b[0] for b in blocks if len(b) == 1], n)),
+    decode=lambda state, n: (tuple(points_of(m) for m in state[0])
+                             + tuple((x,) for x in state[1])),
+    steps=_ordered_partition_steps)
 
 
 def first_partition_of_type(shape, n=None):

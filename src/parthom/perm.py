@@ -7,11 +7,13 @@ Conventions used throughout the package:
   x.(p*q) = (x.p).q and the group acts on the right
 - orbit walks are breadth-first with a visited-set on canonical forms, and
   refuse to return a truncated orbit: exceeding the cap raises
+- the decision layer walks compact states (see CompactAction): a k-set is an
+  int bitmask with bit p set for point p, and a tuple of points is a bytes
+  object up to degree 256
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 DEFAULT_ORBIT_CAP = 10**7
@@ -47,7 +49,7 @@ class Permutation:
 
     @staticmethod
     def identity(degree):
-        return Permutation(range(degree))
+        return _unchecked(tuple(range(degree)))
 
     @staticmethod
     def from_one_line(values):
@@ -77,13 +79,16 @@ class Permutation:
     def __mul__(self, other):
         """self then other."""
         q = other.images
-        return Permutation(q[i] for i in self.images)
+        if len(q) != len(self.images):
+            raise ValueError("degrees differ: %d and %d"
+                             % (len(self.images), len(q)))
+        return _unchecked(tuple(map(q.__getitem__, self.images)))
 
     def inverse(self):
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return _unchecked(tuple(inv))
 
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
@@ -116,6 +121,14 @@ class Permutation:
 
     def __repr__(self):
         return "Permutation(%s)" % (self.cycle_string(),)
+
+
+def _unchecked(images):
+    """A Permutation from an image tuple already known to be a permutation,
+    without the sort that the public constructor validates with."""
+    perm = object.__new__(Permutation)
+    perm.images = images
+    return perm
 
 
 def parse_cycles(text, degree):
@@ -161,6 +174,104 @@ def act_tuple(xs, images):
 def act_set(xs, images):
     """Action on a k-subset held as a sorted tuple."""
     return tuple(sorted(images[x] for x in xs))
+
+
+# ---------------------------------------------------------------------------
+# compact actions
+
+
+class CompactAction:
+    """An action on compact states, for long orbit walks.
+
+    `steps(group)` returns one map state -> image state per generator, in
+    generator order, and `orbit` applies those.  `encode(obj, degree)` and
+    `decode(state, degree)` convert from and to the canonical tuple form
+    that the matching public action (`act_set`, ...) works on.
+    """
+
+    __slots__ = ("encode", "decode", "steps")
+
+    def __init__(self, encode, decode, steps):
+        self.encode = encode
+        self.decode = decode
+        self.steps = steps
+
+
+def mask_of(points):
+    """Bitmask of a set of points: bit p is set for each point p."""
+    mask = 0
+    for p in points:
+        mask |= 1 << p
+    return mask
+
+
+def points_of(mask):
+    """The points of a bitmask, as a sorted tuple."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def mask_map(images):
+    """The map on bitmasks that the permutation `images` induces.
+
+    One 256-entry table per 8 points holds the image mask of every subset
+    of those points, so a mask maps by one lookup per byte.
+    """
+    n = len(images)
+    tables = []
+    for base in range(0, n, 8):
+        table = [0] * 256
+        for v in range(1, 256):
+            p = base + (v & -v).bit_length() - 1
+            table[v] = table[v & (v - 1)] | (1 << images[p] if p < n else 0)
+        tables.append(table)
+    # unrolled up to degree 24, where the lookups run twice as fast as the
+    # loop below
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    if len(tables) == 2:
+        t0, t1 = tables
+        return lambda m: t0[m & 255] | t1[m >> 8]
+    if len(tables) == 3:
+        t0, t1, t2 = tables
+        return lambda m: t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16]
+
+    def step(m):
+        out = 0
+        for table in tables:
+            out |= table[m & 255]
+            m >>= 8
+        return out
+    return step
+
+
+def encode_points(points, degree):
+    """A sequence of points as bytes, or as a tuple above degree 256."""
+    return bytes(points) if degree <= 256 else tuple(points)
+
+
+def point_map(images):
+    """The map on `encode_points` sequences that the permutation induces."""
+    if len(images) <= 256:
+        table = bytes(images) + bytes(256 - len(images))
+        return lambda xs: xs.translate(table)
+    get = images.__getitem__
+    return lambda xs: tuple(map(get, xs))
+
+
+compact_set = CompactAction(
+    encode=lambda points, degree: mask_of(points),
+    decode=lambda mask, degree: points_of(mask),
+    steps=lambda group: group.mask_maps())
+
+compact_tuple = CompactAction(
+    encode=encode_points,
+    decode=lambda xs, degree: tuple(xs),
+    steps=lambda group: [point_map(images) for images in group.raw_gens()])
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +420,21 @@ class PermGroup:
         self.generators = generators
         self.name = name or ("group of degree %d" % degree)
         self._chain = None
-        self._lock = threading.Lock()
+        self._mask_maps = None
 
     def raw_gens(self):
         """Image tuples of the generators, for tight orbit loops."""
         return [g.images for g in self.generators]
 
+    def mask_maps(self):
+        """One `mask_map` per generator, built on first use."""
+        if self._mask_maps is None:
+            self._mask_maps = [mask_map(g.images) for g in self.generators]
+        return self._mask_maps
+
     def chain(self):
         if self._chain is None:
-            with self._lock:
-                if self._chain is None:
-                    self._chain = schreier_sims(self.degree, self.generators)
+            self._chain = schreier_sims(self.degree, self.generators)
         return self._chain
 
     def order(self):
@@ -351,7 +466,7 @@ def enumerate_elements(group, cap=DEFAULT_ENUM_CAP):
                         raise EnumerationCapExceeded(
                             "group enumeration exceeded cap %d" % cap)
                     seen.add(r)
-                    out.append(Permutation(r))
+                    out.append(_unchecked(r))
                     nxt.append(r)
         frontier = nxt
     return out
@@ -360,26 +475,36 @@ def enumerate_elements(group, cap=DEFAULT_ENUM_CAP):
 def orbit(group, seed, act, cap=DEFAULT_ORBIT_CAP):
     """Breadth-first orbit of seed under the group, as a set of canonical objects.
 
-    `act(obj, images)` must return the canonical form of obj moved by the
-    permutation with the given image tuple.  Exceeding `cap` raises
+    `act` is either a CompactAction, whose steps map the states, or a
+    function where `act(obj, images)` returns the canonical form of obj moved
+    by the permutation with the given image tuple.  Exceeding `cap` raises
     OrbitCapExceeded rather than returning a truncated orbit.
     """
-    raw = group.raw_gens()
+    if isinstance(act, CompactAction):
+        steps = act.steps(group)
+    else:
+        steps = [lambda x, images=images: act(x, images)
+                 for images in group.raw_gens()]
     seen = {seed}
     frontier = [seed]
     while frontier:
         nxt = []
         for x in frontier:
-            for images in raw:
-                y = act(x, images)
+            for step in steps:
+                y = step(x)
                 if y not in seen:
                     if len(seen) >= cap:
-                        raise OrbitCapExceeded(
-                            "orbit of %r exceeded cap %d" % (seed, cap))
+                        raise _cap_error(len(seen), len(frontier), cap)
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
     return seen
+
+
+def _cap_error(visited, frontier, cap):
+    return OrbitCapExceeded(
+        "orbit walk stopped at the cap of %d states (%d states visited, "
+        "%d in the frontier being expanded)" % (cap, visited, frontier))
 
 
 def orbit_transversal(group, seed, act, cap=DEFAULT_ORBIT_CAP):
@@ -395,8 +520,7 @@ def orbit_transversal(group, seed, act, cap=DEFAULT_ORBIT_CAP):
                 y = act(x, g.images)
                 if y not in trans:
                     if len(trans) >= cap:
-                        raise OrbitCapExceeded(
-                            "orbit of %r exceeded cap %d" % (seed, cap))
+                        raise _cap_error(len(trans), len(frontier), cap)
                     trans[y] = ux * g
                     nxt.append(y)
         frontier = nxt

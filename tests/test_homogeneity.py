@@ -102,6 +102,17 @@ def test_pgl28_facts():
     assert exact_homogeneity_degree(pgammal2(8)) == 4
 
 
+def test_pgammal2_32_facts():
+    # 4-homogeneous by a walk over all C(33, 4) 4-sets; 4-transitivity is
+    # refuted by the order alone
+    g = pgammal2(32)
+    assert g.order() == 163680
+    hom = decide_t_homogeneous(g, 4)
+    assert hom.verdict and hom.orbit_size == 40920
+    trans = decide_t_transitive(g, 4)
+    assert not trans.verdict and trans.method == "order-bound shortcut"
+
+
 def test_cyclic_homogeneity_degree():
     assert exact_homogeneity_degree(cyclic(5)) == 1
     assert exact_homogeneity_degree(cyclic(6)) == 1

@@ -53,6 +53,14 @@ def test_compose_associative(pqr):
     assert ((p * q) * r).images == (p * (q * r)).images
 
 
+def test_compose_rejects_mixed_degrees():
+    # products skip the permutation check, so the degrees are checked
+    with pytest.raises(ValueError):
+        Permutation.identity(3) * Permutation.identity(4)
+    with pytest.raises(ValueError):
+        Permutation.identity(4) * Permutation.identity(3)
+
+
 @given(st.integers(2, 8).flatmap(lambda n: perms(n)))
 def test_inverse_cancels(p):
     ident = Permutation.identity(p.degree)
