@@ -25,10 +25,10 @@ from .partitions import (
 )
 from .perm import (
     DEFAULT_ORBIT_CAP,
-    act_set,
     compact_set,
     compact_tuple,
     induced_action,
+    mask_of,
     orbit,
     stabilizer_generators,
 )
@@ -200,9 +200,8 @@ def is_standard_pair(group, lam, cap=DEFAULT_ORBIT_CAP):
     if not is_t_homogeneous(group, t, cap=cap):
         return False
     rest = lam[1:]
-    seed = tuple(range(t))
-    stab = stabilizer_generators(group, seed, act_set, cap=cap)
-    inside = induced_action(stab, list(seed))
+    stab = stabilizer_generators(group, mask_of(range(t)), compact_set, cap=cap)
+    inside = induced_action(stab, list(range(t)))
     return is_lambda_transitive(inside, rest, cap=cap)
 
 

@@ -5,8 +5,10 @@ Conventions used throughout the package:
 - points are 0-based internally; every parser/formatter speaks 1-based
 - composition is left-to-right: (p * q) means "apply p, then q", so that
   x.(p*q) = (x.p).q and the group acts on the right
-- orbit walks are breadth-first with a visited-set on canonical forms, and
-  refuse to return a truncated orbit: exceeding the cap raises
+- every breadth-first walk in the package (orbits, Schreier trees, element
+  enumeration, semigroup closures) runs through `walk`, which keeps a
+  visited-set on canonical forms and refuses to return a truncated result:
+  exceeding the cap raises
 - the decision layer walks compact states (see CompactAction): a k-set is an
   int bitmask with bit p set for point p, and a tuple of points is a bytes
   object up to degree 256
@@ -14,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 DEFAULT_ORBIT_CAP = 10**7
@@ -180,21 +183,19 @@ def act_set(xs, images):
 # compact actions
 
 
+@dataclass(frozen=True)
 class CompactAction:
     """An action on compact states, for long orbit walks.
 
     `steps(group)` returns one map state -> image state per generator, in
-    generator order, and `orbit` applies those.  `encode(obj, degree)` and
+    generator order, and the walks apply those.  `encode(obj, degree)` and
     `decode(state, degree)` convert from and to the canonical tuple form
     that the matching public action (`act_set`, ...) works on.
     """
 
-    __slots__ = ("encode", "decode", "steps")
-
-    def __init__(self, encode, decode, steps):
-        self.encode = encode
-        self.decode = decode
-        self.steps = steps
+    encode: Callable
+    decode: Callable
+    steps: Callable
 
 
 def mask_of(points):
@@ -304,17 +305,23 @@ class StabilizerChain:
 
     def sift(self, perm):
         """Factor perm through the transversals; identity residue = member."""
-        g = perm
-        for level in self.levels:
-            x = g.images[level.point]
-            u = level.transversal.get(x)
-            if u is None:
-                return g
-            g = g * u.inverse()
-        return g
+        return _strip(self.levels, perm, 0)[0]
 
     def contains(self, perm):
         return self.sift(perm).is_identity()
+
+
+def _strip(levels, g, start):
+    """Sift g through levels[start:]: (residue, index of the level it
+    stopped at, or len(levels))."""
+    for j in range(start, len(levels)):
+        u = levels[j].transversal.get(g.images[levels[j].point])
+        if u is None:
+            return g, j
+        g = g * u.inverse()
+        if g.is_identity():
+            break
+    return g, len(levels)
 
 
 def schreier_sims(degree, generators):
@@ -325,7 +332,6 @@ def schreier_sims(degree, generators):
     Level k sees every strong generator fixing the first k base points, which
     keeps the level groups nested the way the order product requires.
     """
-    ident = Permutation.identity(degree)
     base = []
     strong = []
     levels = []
@@ -334,34 +340,12 @@ def schreier_sims(degree, generators):
         level = levels[k]
         level.gens = [g for g in strong
                       if all(g.images[base[m]] == base[m] for m in range(k))]
-        trans = {level.point: ident}
-        frontier = [level.point]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                ux = trans[x]
-                for s in level.gens:
-                    y = s.images[x]
-                    if y not in trans:
-                        trans[y] = ux * s
-                        nxt.append(y)
-            frontier = nxt
-        level.transversal = trans
-
-    def strip(g, start):
-        for j in range(start, len(levels)):
-            x = g.images[levels[j].point]
-            u = levels[j].transversal.get(x)
-            if u is None:
-                return g, j
-            g = g * u.inverse()
-            if g.is_identity():
-                break
-        return g, len(levels)
+        level.transversal = orbit_transversal(PermGroup(degree, level.gens),
+                                              level.point, act_point)
 
     def add_generator(g, start):
         """Sift g in; returns True if a new strong generator was absorbed."""
-        residue, j = strip(g, start)
+        residue, j = _strip(levels, g, start)
         if residue.is_identity():
             return False
         strong.append(residue)
@@ -449,27 +433,50 @@ class PermGroup:
         return "PermGroup(%s)" % self.name
 
 
-def enumerate_elements(group, cap=DEFAULT_ENUM_CAP):
-    """All elements by word BFS over the generators; cap is a hard limit."""
-    ident = Permutation.identity(group.degree)
-    raw = [g.images for g in group.generators]
-    seen = {ident.images}
-    out = [ident]
-    frontier = [ident.images]
+def walk(seeds, steps, cap, error):
+    """The one breadth-first walk: the set of states reached from `seeds` by
+    the `steps` (maps state -> state), applied in frontier order and step
+    order.  Reaching more than `cap` states raises `error`."""
+    seen = set(seeds)
+    frontier = list(seen)
     while frontier:
         nxt = []
-        for p in frontier:
-            for q in raw:
-                r = tuple(q[i] for i in p)
-                if r not in seen:
+        for x in frontier:
+            for step in steps:
+                y = step(x)
+                if y not in seen:
                     if len(seen) >= cap:
-                        raise EnumerationCapExceeded(
-                            "group enumeration exceeded cap %d" % cap)
-                    seen.add(r)
-                    out.append(_unchecked(r))
-                    nxt.append(r)
+                        raise error(
+                            "walk stopped at the cap of %d states (%d states "
+                            "visited, %d in the frontier being expanded)"
+                            % (cap, len(seen), len(frontier)))
+                    seen.add(y)
+                    nxt.append(y)
         frontier = nxt
-    return out
+    return seen
+
+
+def compose_steps(raw):
+    """Steps that right-multiply an image tuple by each of `raw`."""
+    return [lambda p, get=q.__getitem__: tuple(map(get, p)) for q in raw]
+
+
+def _action_steps(group, act):
+    """A CompactAction's steps, or `act(obj, images)` for each generator
+    (for `act_point`, the image tuple's own lookup)."""
+    if isinstance(act, CompactAction):
+        return act.steps(group)
+    if act is act_point:
+        return [images.__getitem__ for images in group.raw_gens()]
+    return [lambda x, images=images: act(x, images)
+            for images in group.raw_gens()]
+
+
+def enumerate_elements(group, cap=DEFAULT_ENUM_CAP):
+    """All elements by word BFS over the generators; cap is a hard limit."""
+    found = walk((tuple(range(group.degree)),), compose_steps(group.raw_gens()),
+                 cap, EnumerationCapExceeded)
+    return [_unchecked(images) for images in found]
 
 
 def orbit(group, seed, act, cap=DEFAULT_ORBIT_CAP):
@@ -480,66 +487,41 @@ def orbit(group, seed, act, cap=DEFAULT_ORBIT_CAP):
     by the permutation with the given image tuple.  Exceeding `cap` raises
     OrbitCapExceeded rather than returning a truncated orbit.
     """
-    if isinstance(act, CompactAction):
-        steps = act.steps(group)
-    else:
-        steps = [lambda x, images=images: act(x, images)
-                 for images in group.raw_gens()]
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for step in steps:
-                y = step(x)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise _cap_error(len(seen), len(frontier), cap)
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
-
-def _cap_error(visited, frontier, cap):
-    return OrbitCapExceeded(
-        "orbit walk stopped at the cap of %d states (%d states visited, "
-        "%d in the frontier being expanded)" % (cap, visited, frontier))
+    return walk((seed,), _action_steps(group, act), cap, OrbitCapExceeded)
 
 
 def orbit_transversal(group, seed, act, cap=DEFAULT_ORBIT_CAP):
-    """Orbit walk that also records one group element mapping seed to each point."""
-    ident = Permutation.identity(group.degree)
-    trans = {seed: ident}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            ux = trans[x]
-            for g in group.generators:
-                y = act(x, g.images)
-                if y not in trans:
-                    if len(trans) >= cap:
-                        raise _cap_error(len(trans), len(frontier), cap)
-                    trans[y] = ux * g
-                    nxt.append(y)
-        frontier = nxt
-    return trans
+    """Schreier tree of the orbit of seed, for either kind of `act` that
+    `orbit` takes: each state maps to the product of generators along the
+    first walked path to it, and the dict lists the states in walk order."""
+    tree = {seed: Permutation.identity(group.degree)}
+
+    def edge(step, g):
+        def tree_step(x):
+            y = step(x)
+            if y not in tree:
+                tree[y] = tree[x] * g
+            return y
+        return tree_step
+
+    walk((seed,), list(map(edge, _action_steps(group, act), group.generators)),
+         cap, OrbitCapExceeded)
+    return tree
 
 
 def stabilizer_generators(group, seed, act, cap=DEFAULT_ORBIT_CAP):
     """Setwise/pointwise stabilizer of seed via Schreier generators.
 
-    Works for any action the orbit machinery accepts; the result is a group on
+    Works for either kind of action `orbit` takes; the result is a group on
     the same points as `group` whose elements all fix `seed` under `act`.
     """
     trans = orbit_transversal(group, seed, act, cap=cap)
+    steps = _action_steps(group, act)
     gens = []
     seen = set()
     for x, ux in trans.items():
-        for g in group.generators:
-            y = act(x, g.images)
-            schreier = ux * g * trans[y].inverse()
+        for step, g in zip(steps, group.generators):
+            schreier = ux * g * trans[step(x)].inverse()
             if schreier.is_identity() or schreier.images in seen:
                 continue
             seen.add(schreier.images)
@@ -594,23 +576,20 @@ def burnside_orbit_count(group, domain, act, cap=DEFAULT_ENUM_CAP):
 
 
 def orbit_count(group, domain, act):
-    """Number of orbits on an explicit finite domain, by BFS flood fill."""
-    raw = group.raw_gens()
+    """Number of orbits on an explicit finite domain, which must be a union
+    of orbits: walking out of it raises ValueError."""
+    domain = set(domain)
+    steps = _action_steps(group, act)
     remaining = set(domain)
     count = 0
     while remaining:
-        seed = remaining.pop()
+        # an orbit with more states than the domain trips the cap, which
+        # raises ValueError too
+        reached = walk((remaining.pop(),), steps, len(domain), ValueError)
+        if not reached <= domain:
+            raise ValueError("domain must be a union of orbits")
+        remaining -= reached
         count += 1
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for images in raw:
-                    y = act(x, images)
-                    if y in remaining:
-                        remaining.remove(y)
-                        nxt.append(y)
-            frontier = nxt
     return count
 
 

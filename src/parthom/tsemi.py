@@ -4,6 +4,8 @@ All maps act on the right, matching the permutation convention: x*(a b)
 means apply a, then b.  Semigroup elements are canonicalized by their image
 tuple, and every generation routine is a breadth-first walk over generator
 words, so the resulting element set is independent of insertion order.
+`closure` and `generate_arc_set` run that walk on `perm.walk`, the one
+breadth-first kernel behind every orbit and closure in the package.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .partitions import canon_set_partition, coarsening_feasible, partition_shape
-from .perm import EnumerationCapExceeded, Permutation, enumerate_elements
+from .perm import (EnumerationCapExceeded, Permutation, compose_steps,
+                   enumerate_elements, walk)
 
 DEFAULT_SEMIGROUP_CAP = 10**6
 
@@ -85,6 +88,9 @@ class Transformation:
     def __mul__(self, other):
         """self then other."""
         q = other.images
+        if len(q) != len(self.images):
+            raise ValueError("degrees differ: %d and %d"
+                             % (len(self.images), len(q)))
         return Transformation(q[i] for i in self.images)
 
     def text(self):
@@ -168,20 +174,7 @@ def closure(gens, cap=DEFAULT_SEMIGROUP_CAP, description=""):
     if any(g.degree != degree for g in gens):
         raise ValueError("generators must share a degree")
     raw_gens = [g.images for g in gens]
-    seen = set(raw_gens)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in raw_gens:
-                r = tuple(q[i] for i in p)
-                if r not in seen:
-                    if len(seen) >= cap:
-                        raise EnumerationCapExceeded(
-                            "semigroup closure exceeded cap %d" % cap)
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
+    seen = walk(raw_gens, compose_steps(raw_gens), cap, EnumerationCapExceeded)
     return TransSemigroup(degree, frozenset(Transformation(t) for t in seen),
                           description or "closure of %d generators" % len(gens))
 
@@ -203,22 +196,9 @@ def generate_arc_set(maps, group, cap=DEFAULT_SEMIGROUP_CAP):
             raise ValueError("degree mismatch: map on %d, group on %d"
                              % (a.degree, group.degree))
     n = group.degree
-    raw_gens = [a.images for a in maps] + [g.images for g in group.generators]
-    ident = tuple(range(n))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in raw_gens:
-                r = tuple(q[i] for i in p)
-                if r not in seen:
-                    if len(seen) >= cap:
-                        raise EnumerationCapExceeded(
-                            "monoid walk exceeded cap %d" % cap)
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
+    raw_gens = [a.images for a in maps] + group.raw_gens()
+    seen = walk((tuple(range(n)),), compose_steps(raw_gens), cap,
+                EnumerationCapExceeded)
     full = list(range(n))
     non_units = frozenset(Transformation(t) for t in seen
                           if sorted(t) != full)

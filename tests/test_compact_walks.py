@@ -4,9 +4,11 @@ The decision layer walks k-sets as bitmasks, set partitions as tuples of
 block masks and point tuples as bytes (`perm.CompactAction`).  Here every
 such walk is compared with the walk of the matching public tuple action:
 same orbit size, the decoded states are exactly the public orbit, and the
-cap trips at the same state count.  Walks that may hold more than
-`MAX_STATES` states (by the closed-form count and the group order) are
-left out, which only drops the largest shapes of S_8, A_8, S_9 and A_9.
+cap trips at the same state count.  Schreier trees and stabilizers built
+on compact states hold the same elements as those built under the public
+actions.  Walks that may hold more than `MAX_STATES` states (by the
+closed-form count and the group order) are left out, which only drops the
+largest shapes of S_8, A_8, S_9 and A_9.
 """
 
 import math
@@ -37,7 +39,9 @@ from parthom.perm import (
     mask_map,
     mask_of,
     orbit,
+    orbit_transversal,
     points_of,
+    stabilizer_generators,
 )
 
 MAX_STATES = 5000
@@ -145,3 +149,29 @@ def test_cap_error_reports_progress_not_the_seed():
     assert "10 states visited" in message
     assert "in the frontier" in message
     assert repr(start) not in message
+
+
+@pytest.mark.parametrize("entry", catalog_entries(9), ids=lambda e: e.spec)
+def test_stabilizers_on_masks_match_sorted_tuples(entry):
+    group = entry.group
+    for t in range(1, group.degree // 2 + 1):
+        seed = tuple(range(t))
+        on_masks = stabilizer_generators(group, mask_of(seed), compact_set)
+        on_tuples = stabilizer_generators(group, seed, act_set)
+        assert on_masks.generators == on_tuples.generators, t
+
+
+@pytest.mark.parametrize("entry", catalog_entries(7), ids=lambda e: e.spec)
+def test_compact_transversal_elements_map_seed_to_state(entry):
+    group = entry.group
+    n = group.degree
+    for label, seed, act, compact, count in walks(group):
+        if min(count, group.order()) > MAX_STATES:
+            continue
+        start = compact.encode(seed, n)
+        tree = orbit_transversal(group, start, compact)
+        plain = orbit_transversal(group, seed, act)
+        assert [compact.decode(x, n) for x in tree] == list(plain), label
+        for x, u in tree.items():
+            assert compact.decode(x, n) == act(seed, u.images), label
+            assert plain[act(seed, u.images)] == u, label

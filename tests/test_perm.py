@@ -1,5 +1,8 @@
 """Core permutation machinery: composition convention, chains, orbits."""
 
+import re
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +20,7 @@ from parthom.perm import (
     induced_action,
     orbit,
     orbit_count,
+    orbit_transversal,
     parse_cycles,
     parse_group_file,
     render_group_file,
@@ -132,6 +136,90 @@ def test_chain_base_is_deterministic():
            [sorted(l.transversal) for l in c2.levels]
 
 
+def test_sift_residue():
+    a4 = PermGroup(4, [Permutation.from_cycles(4, [(1, 2, 3)]),
+                       Permutation.from_cycles(4, [(2, 3, 4)])])
+    chain = a4.chain()
+    for el in enumerate_elements(a4):
+        assert chain.sift(el).is_identity()
+    odd = Permutation.from_cycles(4, [(1, 2)])
+    residue = chain.sift(odd)
+    assert not residue.is_identity()
+    # the residue differs from odd by an element of A_4, so it is odd too
+    assert not a4.contains(residue)
+
+
+def reference_tree(seed, gens, act):
+    """The Schreier tree as a plain breadth-first loop: the first path found
+    to each state, states in the order found."""
+    tree = {seed: Permutation.identity(gens[0].degree)}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = act(x, g.images)
+                if y not in tree:
+                    tree[y] = tree[x] * g
+                    nxt.append(y)
+        frontier = nxt
+    return tree
+
+
+TREE_GROUPS = [
+    PermGroup(6, [Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)]),
+                  Permutation.from_cycles(6, [(2, 6), (3, 5)])]),
+    PermGroup(7, [Permutation.from_cycles(7, [(1, 2, 3, 4, 5, 6, 7)]),
+                  Permutation.from_cycles(7, [(2, 3, 5), (4, 7, 6)])]),
+]
+
+
+@pytest.mark.parametrize("g", TREE_GROUPS + [sym_group(6)],
+                         ids=["d6", "agl1_7", "s6"])
+def test_transversals_match_plain_schreier_tree(g):
+    for seed, act in ((0, act_point), ((0, 1), act_set), ((0, 1), act_tuple),
+                      ((0, 2, 3), act_set)):
+        tree = orbit_transversal(g, seed, act)
+        ref = reference_tree(seed, g.generators, act)
+        assert list(tree.items()) == list(ref.items())
+        for x, u in tree.items():
+            assert act(seed, u.images) == x
+    for level in g.chain().levels:
+        ref = reference_tree(level.point, level.gens, act_point)
+        assert list(level.transversal.items()) == list(ref.items())
+
+
+def cap_message_counts(err):
+    message = str(err.value)
+    found = re.search(r"cap of (\d+) states \((\d+) states visited, "
+                      r"(\d+) in the frontier", message)
+    assert found, message
+    return tuple(int(v) for v in found.groups())
+
+
+def test_enumeration_cap_boundary():
+    for g in TREE_GROUPS + [sym_group(5)]:
+        size = g.order()
+        assert len(enumerate_elements(g, cap=size)) == size
+        with pytest.raises(EnumerationCapExceeded) as err:
+            enumerate_elements(g, cap=size - 1)
+        cap, visited, frontier = cap_message_counts(err)
+        assert cap == visited == size - 1
+        assert 0 < frontier < size
+
+
+def test_orbit_transversal_cap_boundary():
+    g = sym_group(6)
+    for seed, act, size in ((0, act_point, 6), ((0, 1), act_set, 15),
+                            ((0, 1, 2), act_tuple, 120)):
+        assert len(orbit_transversal(g, seed, act, cap=size)) == size
+        with pytest.raises(OrbitCapExceeded) as err:
+            orbit_transversal(g, seed, act, cap=size - 1)
+        cap, visited, frontier = cap_message_counts(err)
+        assert cap == visited == size - 1
+        assert 0 < frontier < size
+
+
 def test_trivial_group():
     g = PermGroup(3, [Permutation.identity(3)])
     assert g.order() == 1
@@ -232,6 +320,21 @@ def test_burnside_necklaces():
 
     assert burnside_orbit_count(g, domain, act_colouring) == 14
     assert orbit_count(g, domain, act_colouring) == 14
+
+
+def test_orbit_count_needs_a_union_of_orbits():
+    g = PermGroup(6, [Permutation.from_cycles(6, [(1, 4)])])
+    assert orbit_count(g, [0, 3, 1], act_point) == 2
+    # the orbit {0, 3} of point 0 is no larger than the domain but leaves it
+    with pytest.raises(ValueError):
+        orbit_count(g, [0, 1, 2], act_point)
+    # the orbits of (0, 1) and (0, 3) have 6 and 3 states, and both leave
+    # a domain of three 2-sets
+    c6 = PermGroup(6, [Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)])])
+    pairs = [tuple(c) for c in combinations(range(6), 2)]
+    with pytest.raises(ValueError):
+        orbit_count(c6, pairs[:3], act_set)
+    assert orbit_count(c6, pairs, act_set) == 3
 
 
 # -- group files -------------------------------------------------------------

@@ -7,6 +7,7 @@ against these before any structural claim is trusted.
 
 import math
 import random
+import re
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -28,6 +29,7 @@ from parthom.tsemi import (
     closure,
     contains_all_constants,
     generate_arc,
+    generate_arc_set,
     generate_conjugates,
     green_checks,
     idempotents,
@@ -127,6 +129,15 @@ def test_composition_order():
     assert (a * b).text() == "1,1,1"
 
 
+def test_composition_rejects_mixed_degrees():
+    short = Transformation([0, 0, 1])
+    long = Transformation([1, 0, 2, 3, 4])
+    with pytest.raises(ValueError, match="degrees differ"):
+        short * long
+    with pytest.raises(ValueError, match="degrees differ"):
+        long * short
+
+
 def test_permutation_bridge():
     t = parse_transformation("2,3,1")
     assert t.is_permutation()
@@ -220,6 +231,38 @@ def test_closure_cap():
     gens = [MAP_A5, parse_transformation("2,3,4,5,1")]
     with pytest.raises(EnumerationCapExceeded):
         closure(gens, cap=10)
+
+
+def cap_message_counts(err):
+    found = re.search(r"cap of (\d+) states \((\d+) states visited, "
+                      r"(\d+) in the frontier", str(err.value))
+    assert found, str(err.value)
+    return tuple(int(v) for v in found.groups())
+
+
+def test_closure_cap_boundary():
+    gens = [MAP_A5, parse_transformation("2,3,4,5,1")]
+    size = len(closure(gens))
+    assert len(closure(gens, cap=size)) == size
+    with pytest.raises(EnumerationCapExceeded) as err:
+        closure(gens, cap=size - 1)
+    cap, visited, frontier = cap_message_counts(err)
+    assert cap == visited == size - 1
+    assert 0 < frontier < size
+
+
+def test_generate_arc_set_cap_boundary():
+    # the walk holds the whole monoid: the non-units and the group itself
+    for spec, a in (("agl1:5", MAP_A5), ("d:5", MAP_B5)):
+        group = build_group(spec)
+        units = group.order()
+        size = len(generate_arc_set([a], group)) + units
+        assert len(generate_arc_set([a], group, cap=size)) == size - units
+        with pytest.raises(EnumerationCapExceeded) as err:
+            generate_arc_set([a], group, cap=size - 1)
+        cap, visited, frontier = cap_message_counts(err)
+        assert cap == visited == size - 1
+        assert 0 < frontier < size
 
 
 @settings(max_examples=50, deadline=None)
