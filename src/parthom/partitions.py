@@ -23,7 +23,7 @@ from .perm import (
     CompactAction,
     encode_points,
     mask_of,
-    point_map,
+    point_steps,
     points_of,
 )
 
@@ -152,8 +152,8 @@ compact_set_partition = CompactAction(
 
 
 def _ordered_partition_steps(group):
-    return [lambda x, f=f, g=point_map(images): (tuple(map(f, x[0])), g(x[1]))
-            for f, images in zip(group.mask_maps(), group.raw_gens())]
+    return [lambda x, f=f, g=g: (tuple(map(f, x[0])), g(x[1]))
+            for f, g in zip(group.mask_maps(), point_steps(group.raw_gens()))]
 
 
 # An ordered set partition as the pair (masks of its blocks of size at least

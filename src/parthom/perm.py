@@ -11,11 +11,14 @@ Conventions used throughout the package:
   exceeding the cap raises
 - the decision layer walks compact states (see CompactAction): a k-set is an
   int bitmask with bit p set for point p, and a tuple of points is a bytes
-  object up to degree 256
+  object up to degree 256 (a `WideRow` above), mapped by `translate`; the
+  image rows of transformations and of enumerated group elements are walked
+  in the same encoding
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -45,7 +48,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
+        images = as_points(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError("not a permutation: %r" % (images,))
         self.images = images
@@ -124,6 +127,17 @@ class Permutation:
 
     def __repr__(self):
         return "Permutation(%s)" % (self.cycle_string(),)
+
+
+def as_points(values):
+    """The values as a tuple of ints; ValueError if one is not an integer
+    (a float or a string, say)."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError("image values must be integers: %r" % (values,)) \
+            from None
 
 
 def _unchecked(images):
@@ -250,18 +264,38 @@ def mask_map(images):
     return step
 
 
+class WideRow(tuple):
+    """A sequence of points above degree 256, where bytes cannot hold them:
+    a tuple whose `translate(table)` maps every point through the table, as
+    `bytes.translate` does."""
+
+    __slots__ = ()
+
+    def translate(self, table):
+        return WideRow(map(table.__getitem__, self))
+
+
 def encode_points(points, degree):
-    """A sequence of points as bytes, or as a tuple above degree 256."""
-    return bytes(points) if degree <= 256 else tuple(points)
+    """A sequence of points as bytes, or as a WideRow above degree 256."""
+    return bytes(points) if degree <= 256 else WideRow(points)
 
 
-def point_map(images):
-    """The map on `encode_points` sequences that the permutation induces."""
+def point_table(images):
+    """The table `translate` maps encoded points through for the image row
+    `images`: the row padded to the 256 bytes `bytes.translate` takes, or a
+    tuple above degree 256."""
     if len(images) <= 256:
-        table = bytes(images) + bytes(256 - len(images))
-        return lambda xs: xs.translate(table)
-    get = images.__getitem__
-    return lambda xs: tuple(map(get, xs))
+        return bytes(images).ljust(256, b"\0")
+    return tuple(images)
+
+
+def point_steps(gens):
+    """One step per image row in `gens`, mapping each point of an
+    `encode_points` sequence through it; on a map's image row that is right
+    multiplication by the generator.  (A lambda around `translate` costs
+    half of an `operator.methodcaller` call on CPython 3.11.)"""
+    return [lambda xs, table=point_table(images): xs.translate(table)
+            for images in gens]
 
 
 compact_set = CompactAction(
@@ -272,7 +306,7 @@ compact_set = CompactAction(
 compact_tuple = CompactAction(
     encode=encode_points,
     decode=lambda xs, degree: tuple(xs),
-    steps=lambda group: [point_map(images) for images in group.raw_gens()])
+    steps=lambda group: point_steps(group.raw_gens()))
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +490,6 @@ def walk(seeds, steps, cap, error):
     return seen
 
 
-def compose_steps(raw):
-    """Steps that right-multiply an image tuple by each of `raw`."""
-    return [lambda p, get=q.__getitem__: tuple(map(get, p)) for q in raw]
-
-
 def _action_steps(group, act):
     """A CompactAction's steps, or `act(obj, images)` for each generator
     (for `act_point`, the image tuple's own lookup)."""
@@ -474,9 +503,10 @@ def _action_steps(group, act):
 
 def enumerate_elements(group, cap=DEFAULT_ENUM_CAP):
     """All elements by word BFS over the generators; cap is a hard limit."""
-    found = walk((tuple(range(group.degree)),), compose_steps(group.raw_gens()),
+    n = group.degree
+    found = walk((encode_points(range(n), n),), point_steps(group.raw_gens()),
                  cap, EnumerationCapExceeded)
-    return [_unchecked(images) for images in found]
+    return [_unchecked(tuple(row)) for row in found]
 
 
 def orbit(group, seed, act, cap=DEFAULT_ORBIT_CAP):

@@ -1,11 +1,13 @@
 """Transformations and the semigroups they generate together with a group.
 
 All maps act on the right, matching the permutation convention: x*(a b)
-means apply a, then b.  Semigroup elements are canonicalized by their image
-tuple, and every generation routine is a breadth-first walk over generator
-words, so the resulting element set is independent of insertion order.
-`closure` and `generate_arc_set` run that walk on `perm.walk`, the one
-breadth-first kernel behind every orbit and closure in the package.
+means apply a, then b.  A transformation is stored, hashed and compared as
+its 0-based image row: `bytes` up to degree 256, a `perm.WideRow` above.
+Right multiplication by b is `row.translate(perm.point_table(b.row))`, so
+products compose in C.  Every generation routine is a breadth-first walk
+over generator words on rows (`perm.walk` with `perm.point_steps`), so the
+resulting element set is independent of insertion order, and the walked
+rows become the rows of the elements.
 """
 
 from __future__ import annotations
@@ -15,27 +17,30 @@ from dataclasses import dataclass
 from itertools import product
 
 from .partitions import canon_set_partition, coarsening_feasible, partition_shape
-from .perm import (EnumerationCapExceeded, Permutation, compose_steps,
-                   enumerate_elements, walk)
+from .perm import (EnumerationCapExceeded, Permutation, as_points,
+                   encode_points, enumerate_elements, point_steps, point_table,
+                   walk)
 
 DEFAULT_SEMIGROUP_CAP = 10**6
 
 
 class Transformation:
-    """A map on n points stored as a 0-based image tuple, bijective or not."""
+    """A map on n points, bijective or not, stored as its image row.
 
-    __slots__ = ("images", "_kernel", "_image")
+    The kernel and the image set are computed on first use and kept in
+    their slots, which stay unset until then.
+    """
+
+    __slots__ = ("row", "_kernel", "_image")
 
     def __init__(self, images):
-        images = tuple(images)
+        images = as_points(images)
         n = len(images)
         if not images:
             raise ValueError("empty transformation")
         if any(not 0 <= v < n for v in images):
             raise ValueError("image values must lie in 0..%d" % (n - 1))
-        self.images = images
-        self._kernel = None
-        self._image = None
+        self.row = encode_points(images, n)
 
     @staticmethod
     def identity(n):
@@ -50,14 +55,21 @@ class Transformation:
         return Transformation(perm.images)
 
     @property
+    def images(self):
+        """The 0-based image tuple."""
+        return tuple(self.row)
+
+    @property
     def degree(self):
-        return len(self.images)
+        return len(self.row)
 
     @property
     def image_set(self):
-        if self._image is None:
-            self._image = tuple(sorted(set(self.images)))
-        return self._image
+        try:
+            return self._image
+        except AttributeError:
+            self._image = tuple(sorted(set(self.row)))
+            return self._image
 
     @property
     def rank(self):
@@ -66,12 +78,14 @@ class Transformation:
     @property
     def kernel(self):
         """Fibers as a canonical set partition."""
-        if self._kernel is None:
+        try:
+            return self._kernel
+        except AttributeError:
             fibers = {}
-            for x, v in enumerate(self.images):
+            for x, v in enumerate(self.row):
                 fibers.setdefault(v, []).append(x)
             self._kernel = canon_set_partition(fibers.values())
-        return self._kernel
+            return self._kernel
 
     @property
     def kernel_type(self):
@@ -87,24 +101,31 @@ class Transformation:
 
     def __mul__(self, other):
         """self then other."""
-        q = other.images
-        if len(q) != len(self.images):
-            raise ValueError("degrees differ: %d and %d"
-                             % (len(self.images), len(q)))
-        return Transformation(q[i] for i in self.images)
+        p, q = self.row, other.row
+        if len(q) != len(p):
+            raise ValueError("degrees differ: %d and %d" % (len(p), len(q)))
+        return _from_row(p.translate(point_table(q)))
 
     def text(self):
         """1-based comma-separated image row."""
-        return ",".join(str(v + 1) for v in self.images)
+        return ",".join(str(v + 1) for v in self.row)
 
     def __eq__(self, other):
-        return isinstance(other, Transformation) and self.images == other.images
+        return isinstance(other, Transformation) and self.row == other.row
 
     def __hash__(self):
-        return hash(self.images)
+        return hash(self.row)
 
     def __repr__(self):
         return "Transformation(%s)" % self.text()
+
+
+def _from_row(row, new=object.__new__):
+    """A Transformation holding a row already known to be valid (a product
+    or a walked state), without the checks of the public constructor."""
+    t = new(Transformation)
+    t.row = row
+    return t
 
 
 def parse_transformation(text, n=None):
@@ -153,7 +174,7 @@ class TransSemigroup:
 
     def is_closed(self, limit=10**4):
         """Full pairwise verification when small, first-k pairs otherwise."""
-        els = sorted(self.elements, key=lambda t: t.images)
+        els = sorted(self.elements, key=lambda t: t.row)
         pairs = 0
         for x in els:
             for y in els:
@@ -173,9 +194,9 @@ def closure(gens, cap=DEFAULT_SEMIGROUP_CAP, description=""):
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators must share a degree")
-    raw_gens = [g.images for g in gens]
-    seen = walk(raw_gens, compose_steps(raw_gens), cap, EnumerationCapExceeded)
-    return TransSemigroup(degree, frozenset(Transformation(t) for t in seen),
+    rows = [g.row for g in gens]
+    seen = walk(rows, point_steps(rows), cap, EnumerationCapExceeded)
+    return TransSemigroup(degree, frozenset(map(_from_row, seen)),
                           description or "closure of %d generators" % len(gens))
 
 
@@ -184,7 +205,8 @@ def generate_arc_set(maps, group, cap=DEFAULT_SEMIGROUP_CAP):
 
     Walks the monoid from the identity by right-multiplying with the maps and
     the group generators; every word containing a non-bijective map drops
-    rank, so the non-permutation part is exactly what the maps add.
+    rank, so the non-permutation part is exactly what the maps add, and the
+    units are the group itself, which the group generators alone walk.
     """
     maps = list(maps)
     if not maps:
@@ -196,13 +218,12 @@ def generate_arc_set(maps, group, cap=DEFAULT_SEMIGROUP_CAP):
             raise ValueError("degree mismatch: map on %d, group on %d"
                              % (a.degree, group.degree))
     n = group.degree
-    raw_gens = [a.images for a in maps] + group.raw_gens()
-    seen = walk((tuple(range(n)),), compose_steps(raw_gens), cap,
-                EnumerationCapExceeded)
-    full = list(range(n))
-    non_units = frozenset(Transformation(t) for t in seen
-                          if sorted(t) != full)
-    return TransSemigroup(n, non_units,
+    identity = encode_points(range(n), n)
+    group_steps = point_steps(group.raw_gens())
+    seen = walk((identity,), point_steps([a.row for a in maps]) + group_steps,
+                cap, EnumerationCapExceeded)
+    seen -= walk((identity,), group_steps, cap, EnumerationCapExceeded)
+    return TransSemigroup(n, frozenset(map(_from_row, seen)),
                           "non-units of <%d maps, %s>"
                           % (len(maps), group.name))
 
@@ -221,12 +242,13 @@ def generate_conjugates(a, group, cap=DEFAULT_SEMIGROUP_CAP):
     if a.degree != group.degree:
         raise ValueError("degree mismatch: map on %d, group on %d"
                          % (a.degree, group.degree))
-    conj = set()
-    for g in enumerate_elements(group):
-        ginv = g.inverse().images
-        gi = g.images
-        conj.add(tuple(gi[a.images[ginv[i]]] for i in range(a.degree)))
-    gens = [Transformation(t) for t in sorted(conj)]
+    # the row of g^-1 a g sends x to (x g^-1) a g
+    n = a.degree
+    table = point_table(a.row)
+    conj = {encode_points(g.inverse().images, n).translate(table)
+            .translate(point_table(g.images))
+            for g in enumerate_elements(group)}
+    gens = [_from_row(row) for row in sorted(conj)]
     return closure(gens, cap=cap,
                    description="conjugate closure of %s over %s"
                                % (a.text(), group.name))
@@ -261,21 +283,25 @@ def is_regular(semigroup):
     fiber of x over z, so regularity of x means: some section of the fibers
     of x over its image occurs as the restriction to im(x) of an element.
     Restrictions are bucketed per distinct image set once, then each x only
-    probes its own fiber sections against the bucket.
+    probes its own fiber sections against the bucket.  The restriction of y
+    to an image set is the set's row translated through y.
     """
-    images = {x.image_set for x in semigroup}
-    restrictions = {image: set() for image in images}
+    n = semigroup.degree
+    restrictions = {x.image_set: set() for x in semigroup}
+    image_rows = [(encode_points(image, n), bucket)
+                  for image, bucket in restrictions.items()]
     for y in semigroup:
-        yim = y.images
-        for image, bucket in restrictions.items():
-            bucket.add(tuple(yim[z] for z in image))
+        table = point_table(y.row)
+        for image_row, bucket in image_rows:
+            bucket.add(image_row.translate(table))
     for x in semigroup:
         fibers = {}
-        for point, value in enumerate(x.images):
+        for point, value in enumerate(x.row):
             fibers.setdefault(value, []).append(point)
         sections = product(*(fibers[z] for z in x.image_set))
         bucket = restrictions[x.image_set]
-        if not any(section in bucket for section in sections):
+        if not any(encode_points(section, n) in bucket
+                   for section in sections):
             return False
     return True
 
@@ -284,7 +310,7 @@ def is_idempotent_generated(semigroup, cap=DEFAULT_SEMIGROUP_CAP):
     ids = idempotents(semigroup)
     if not ids:
         return len(semigroup) == 0
-    return closure(sorted(ids, key=lambda t: t.images), cap=cap).elements \
+    return closure(sorted(ids, key=lambda t: t.row), cap=cap).elements \
         == semigroup.elements
 
 
@@ -322,43 +348,48 @@ class GreenReport:
                 for v in self.verdicts}
 
 
-def _right_ideal(raw, x):
-    xi = x.images
-    out = {xi}
-    for s in raw:
-        out.add(tuple(s[v] for v in xi))
+def _right_ideal(tables, row):
+    """The rows of x S^1 for the x with this row."""
+    out = set(map(row.translate, tables))
+    out.add(row)
     return out
 
 
-def _left_ideal(raw, x):
-    xi = x.images
-    out = {xi}
-    for s in raw:
-        out.add(tuple(xi[v] for v in s))
+def _left_ideal(rows, row):
+    """The rows of S^1 x for the x with this row."""
+    table = point_table(row)
+    out = {s.translate(table) for s in rows}
+    out.add(row)
     return out
 
 
-def _two_sided_ideal(raw, x):
-    out = set(_left_ideal(raw, x))
+def _two_sided_ideal(rows, tables, row):
+    """The rows of S^1 x S^1 for the x with this row."""
+    out = _left_ideal(rows, row)
     for y in list(out):
-        for s in raw:
-            out.add(tuple(s[v] for v in y))
+        out.update(map(y.translate, tables))
     return out
 
 
 def green_checks(semigroup, a, b):
-    """Compare ideal equality with the kernel/image/rank shortcuts."""
+    """Compare ideal equality with the kernel/image/rank shortcuts.
+
+    The ideals are sets of rows: x s is x's row translated through the
+    table of s, and s x is s's row translated through the table of x.
+    """
     if a not in semigroup or b not in semigroup:
         raise ValueError("both elements must belong to the semigroup")
-    raw = [t.images for t in semigroup]
+    rows = [t.row for t in semigroup]
+    tables = list(map(point_table, rows))
     r = GreenVerdict("R",
-                     _right_ideal(raw, a) == _right_ideal(raw, b),
+                     _right_ideal(tables, a.row) == _right_ideal(tables, b.row),
                      a.kernel == b.kernel)
     l = GreenVerdict("L",
-                     _left_ideal(raw, a) == _left_ideal(raw, b),
+                     _left_ideal(rows, a.row) == _left_ideal(rows, b.row),
                      a.image_set == b.image_set)
     j = GreenVerdict("J",
-                     _two_sided_ideal(raw, a) == _two_sided_ideal(raw, b),
+                     _two_sided_ideal(rows, tables, a.row)
+                     == _two_sided_ideal(rows, tables, b.row),
                      a.rank == b.rank)
     return GreenReport([r, l, j])
 
@@ -386,7 +417,7 @@ def local_group_at(semigroup, e):
     if e * e != e:
         raise ValueError("element is not idempotent")
     members = {x for x in semigroup
-               if x.kernel == e.kernel and x.image_set == e.image_set}
+               if x.image_set == e.image_set and x.kernel == e.kernel}
     closed = all((x * y) in members for x in members for y in members)
     has_identity = all(x * e == x and e * x == x for x in members)
     return members, LocalGroupReport(len(members), e.rank, closed, has_identity)

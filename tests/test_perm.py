@@ -92,6 +92,20 @@ def test_bad_permutation_rejected():
         Permutation.from_cycles(4, [(1, 2, 1)])
 
 
+@pytest.mark.parametrize("images", [[0.0, 1.0], [1.0, 0], ["1", "0"],
+                                    [0.5, 1]])
+def test_non_integer_images_rejected(images):
+    # [0.0, 1.0] sorts equal to [0, 1], so only the type check catches it
+    with pytest.raises(ValueError, match="integers"):
+        Permutation(images)
+
+
+def test_integer_images_stored_as_ints():
+    p = Permutation([True, False, 2])
+    assert p.images == (1, 0, 2)
+    assert all(type(v) is int for v in p.images)
+
+
 # -- schreier-sims against explicit enumeration ------------------------------
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

@@ -1,8 +1,9 @@
 """Transformation semigroup tests.
 
 Brute-force oracles: full T_n enumeration for n <= 5, naive pairwise-closure
-worklists, and cubic regularity scans. Generation routines are checked
-against these before any structural claim is trusted.
+worklists, cubic regularity scans, and a plain breadth-first walk on image
+tuples that the walks on bytes rows are checked against. Generation
+routines are checked against these before any structural claim is trusted.
 """
 
 import math
@@ -15,14 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parthom.catalog import build_group
+from parthom.catalog import build_group, catalog_entries
 from parthom.partitions import (
     act_set_partition,
     canon_set_partition,
     coarsening_feasible,
+    integer_partitions,
     refines,
 )
-from parthom.perm import EnumerationCapExceeded, enumerate_elements
+from parthom.perm import EnumerationCapExceeded, WideRow, enumerate_elements
 from parthom.tsemi import (
     TransSemigroup,
     Transformation,
@@ -150,6 +152,34 @@ def test_permutation_bridge():
 def test_constructors():
     assert Transformation.identity(4).images == (0, 1, 2, 3)
     assert Transformation.constant(3, 1).images == (1, 1, 1)
+
+
+def test_images_is_a_tuple_view_of_the_row():
+    t = parse_transformation("2,2,3")
+    assert type(t.images) is tuple and t.images == (1, 1, 2)
+    assert t.row == b"\x01\x01\x02"
+    assert Transformation(b"\x01\x01\x02") == t
+    assert type((t * t).images) is tuple
+
+
+@pytest.mark.parametrize("images", [[0.5, 1, 1], [0.0, 1.0], ["0", 1],
+                                    [None, 0]])
+def test_non_integer_images_rejected(images):
+    with pytest.raises(ValueError, match="integers"):
+        Transformation(images)
+
+
+def test_integer_like_images_accepted():
+    # bool is an int, and an object with __index__ is read through it
+    class Point:
+        def __init__(self, v):
+            self.v = v
+
+        def __index__(self):
+            return self.v
+
+    assert Transformation([True, False, 2]).images == (1, 0, 2)
+    assert Transformation(map(Point, [2, 0, 0])).images == (2, 0, 0)
 
 
 @given(small_maps)
@@ -300,6 +330,80 @@ def test_closure_of_gah_orbit_is_all_singular_maps():
     s = closure([Transformation(t) for t in sorted(gens)])
     assert len(s) == 5 ** 5 - math.factorial(5) == 3005
     assert s.elements == full_singular(5).elements
+
+
+def plain_walk(seeds, gens):
+    """Breadth-first closure of image tuples under right multiplication by
+    gens, on plain tuples: the reference the row walks are checked against."""
+    gets = [g.__getitem__ for g in gens]
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for get in gets:
+                q = tuple(map(get, p))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
+
+
+def as_maps(rows):
+    return frozenset(Transformation(r) for r in rows)
+
+
+def plain_conjugates(a, group):
+    """The image tuples of g^-1 a g over the group, whose elements come
+    from plain_walk too."""
+    n = a.degree
+    conj = set()
+    for g in plain_walk([tuple(range(n))], group.raw_gens()):
+        ginv = sorted(range(n), key=g.__getitem__)
+        conj.add(tuple(g[a.images[ginv[i]]] for i in range(n)))
+    return conj
+
+
+def check_walks_against_plain(a, group, conjugates=True):
+    """generate_arc_set, closure and (unless told not to)
+    generate_conjugates against plain tuple walks."""
+    n = group.degree
+    raw = [a.images] + group.raw_gens()
+    monoid = plain_walk([tuple(range(n))], raw)
+    assert generate_arc_set([a], group).elements == as_maps(
+        t for t in monoid if len(set(t)) < n)
+    gens = [a] + [Transformation.from_permutation(g) for g in group.generators]
+    assert closure(gens).elements == as_maps(plain_walk(raw, raw))
+    if conjugates:
+        conj = plain_conjugates(a, group)
+        assert generate_conjugates(a, group).elements == as_maps(
+            plain_walk(conj, conj))
+
+
+def singular_types(n):
+    return [shape for shape in integer_partitions(n) if max(shape) > 1]
+
+
+@pytest.mark.parametrize("entry", catalog_entries(5), ids=lambda e: e.spec)
+def test_row_walks_match_plain_walk_to_degree_five(entry):
+    n = entry.group.degree
+    for shape in singular_types(n):
+        check_walks_against_plain(first_of_type(n, shape), entry.group)
+
+
+@pytest.mark.parametrize("spec", ["s:6", "pgl2:5"])
+def test_row_walks_match_plain_walk_degree_six(spec):
+    group = build_group(spec)
+    rng = random.Random(spec)
+    for shape in singular_types(6):
+        images = list(first_of_type(6, shape).images)
+        rng.shuffle(images)
+        # from rank 3 up a conjugate closure walks hundreds of generators
+        # over up to 45936 maps, 1-25 s each in the plain walk, so only the
+        # ranks 1 and 2 are checked here (degree 5 covers every rank)
+        check_walks_against_plain(Transformation(images), group,
+                                  conjugates=len(shape) <= 2)
 
 
 def test_is_closed_detects_holes():
@@ -639,6 +743,62 @@ def test_green_one_pair_degree5():
     assert not report.as_dict()["J"]["ideals"]  # ranks 4 vs 3
 
 
+def plain_ideals(semigroup, x):
+    """R, L and J ideals of x as sets of image tuples, from pairwise tuple
+    products: x S^1, S^1 x and S^1 x S^1."""
+    def mul(p, q):
+        return tuple(q[i] for i in p)
+    rows = [t.images for t in semigroup]
+    xi = x.images
+    right = {xi} | {mul(xi, s) for s in rows}
+    left = {xi} | {mul(s, xi) for s in rows}
+    both = left | {mul(y, s) for y in left for s in rows}
+    return right, left, both
+
+
+@pytest.mark.parametrize("spec", ["c:4", "d:4", "a:4"])
+def test_structure_checks_match_cubic_oracles_degree4(spec):
+    group = build_group(spec)
+    rng = random.Random(spec)
+    for shape in singular_types(4):
+        s = generate_arc(first_of_type(4, shape), group)
+        assert is_regular(s) == brute_regular(s)
+        ids = {x for x in s if x * x == x}
+        assert idempotents(s) == ids
+        assert is_idempotent_generated(s) == (naive_closure(ids) == s.elements)
+        pool = sorted(s.elements, key=lambda t: t.images)
+        for _ in range(4):
+            a, b = rng.choice(pool), rng.choice(pool)
+            expected = [ia == ib for ia, ib in zip(plain_ideals(s, a),
+                                                   plain_ideals(s, b))]
+            report = green_checks(s, a, b)
+            assert [v.by_ideals for v in report.verdicts] == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    min_size=1, max_size=3)))
+def test_structure_checks_match_cubic_oracles_random(gen_lists):
+    s = closure(Transformation(g) for g in gen_lists)
+    assert is_regular(s) == brute_regular(s)
+    ids = {x for x in s if x * x == x}
+    assert is_idempotent_generated(s) == (naive_closure(ids) == s.elements)
+    pool = sorted(s.elements, key=lambda t: t.images)
+    a, b = pool[0], pool[-1]
+    expected = [ia == ib for ia, ib in zip(plain_ideals(s, a),
+                                           plain_ideals(s, b))]
+    assert [v.by_ideals for v in green_checks(s, a, b).verdicts] == expected
+
+
+def test_sorting_by_row_is_sorting_by_images():
+    for s in (full_singular(4), closure([Transformation(
+            [(3 * i + 1) % 300 for i in range(300)]),
+            Transformation.constant(300, 7)])):
+        by_images = sorted(s.elements, key=lambda t: t.images)
+        assert sorted(s.elements, key=lambda t: t.row) == by_images
+
+
 def test_green_rejects_foreign_elements():
     s = full_singular(3)
     with pytest.raises(ValueError):
@@ -689,6 +849,62 @@ def test_local_group_rejects():
         local_group_at(s, parse_transformation("2,3,3"))
     with pytest.raises(ValueError):
         local_group_at(s, parse_transformation("1,1,2,2"))
+
+
+# ---------------------------------------------------------------------------
+# above degree 256: rows are WideRow tuples, not bytes
+
+
+def test_row_type_switches_above_degree_256():
+    assert type(Transformation.identity(256).row) is bytes
+    assert type(Transformation.identity(257).row) is WideRow
+    assert type(Transformation.identity(257).images) is tuple
+
+
+def test_degree_300_products_equality_and_hash():
+    n = 300
+    a = Transformation([(7 * i + 3) % n for i in range(n)])
+    b = Transformation([i // 2 for i in range(n)])
+    ab = a * b
+    assert ab.images == tuple(b.images[v] for v in a.images)
+    assert type(ab.row) is WideRow and ab.degree == n
+    assert ab == Transformation(ab.images) and ab != a
+    assert hash(ab) == hash(Transformation(ab.images))
+    assert len({ab, Transformation(ab.images), a}) == 2
+    assert (b * b).images == tuple(b.images[v] for v in b.images)
+
+
+def test_degree_300_kernel_and_image_set():
+    b = Transformation([i // 2 for i in range(300)])
+    assert b.image_set == tuple(range(150))
+    assert b.rank == 150 and not b.is_permutation()
+    assert b.kernel == tuple((2 * k, 2 * k + 1) for k in range(150))
+    assert b.kernel_type == (2,) * 150
+
+
+def test_degree_300_rejects_mixed_degrees():
+    big = Transformation.identity(300)
+    for other in (Transformation.identity(299), MAP_A5):
+        with pytest.raises(ValueError, match="degrees differ"):
+            big * other
+        with pytest.raises(ValueError, match="degrees differ"):
+            other * big
+
+
+def test_degree_300_closure_of_constants_and_idempotents():
+    n = 300
+    consts = [Transformation.constant(n, v) for v in (0, 5, 299)]
+    assert closure(consts).elements == frozenset(consts)
+    # e folds 1 onto 0, f folds 2 onto 1: both idempotent, ef is not
+    e = Transformation([0, 0] + list(range(2, n)))
+    f = Transformation([0, 1, 1] + list(range(3, n)))
+    assert e * e == e and f * f == f
+    gens = [e, f, consts[1]]
+    s = closure(gens)
+    assert s.elements == frozenset(naive_closure(gens))
+    assert s.elements == as_maps(plain_walk([g.images for g in gens],
+                                            [g.images for g in gens]))
+    assert idempotents(s) >= {e, f, consts[1]}
 
 
 # ---------------------------------------------------------------------------
