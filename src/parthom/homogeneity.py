@@ -1,9 +1,12 @@
 """Homogeneity and transitivity decision procedures for permutation groups.
 
-Every decision reduces to one orbit computation compared against a closed-form
+Every decision reduces to one orbit size compared against a closed-form
 count, tried only after two exact-arithmetic shortcuts: an orbit can neither
 exceed the group order nor fail to divide it, so most negative verdicts are
-settled without any walk.  Verdicts are seed-independent, and all walks start
+settled without any walk.  The orbit of the tuple (0, ..., t-1) is read off
+the group's stabilizer chain, whose base is 0, 1, 2, ...; that settles
+t-transitivity, and t-homogeneity whenever the group is t-transitive.  Every
+other orbit is walked.  Verdicts are seed-independent, and all walks start
 from the canonical first object of the relevant kind.  The walks run on the
 compact states of `perm.CompactAction`: bitmasks for sets and blocks, bytes
 for tuples of points.
@@ -26,7 +29,6 @@ from .partitions import (
 from .perm import (
     DEFAULT_ORBIT_CAP,
     compact_set,
-    compact_tuple,
     induced_action,
     mask_of,
     orbit,
@@ -35,6 +37,7 @@ from .perm import (
 
 METHOD_BFS = "orbit-BFS"
 METHOD_SHORTCUT = "order-bound shortcut"
+METHOD_CHAIN = "stabilizer-chain"
 
 
 @dataclass
@@ -76,21 +79,32 @@ def falling_factorial(n, t):
     return math.perm(n, t)
 
 
-def _decide_orbit(group, seed, act, expected, query, cap):
-    """Shared shortcut-then-BFS skeleton behind every decision below.
-
-    `seed` is in canonical tuple form; the walk runs on its compact encoding
-    under the CompactAction `act`.
-    """
+def _order_refutes(group, expected, query):
+    """The exact shortcut tried first: an orbit can neither exceed the group
+    order nor fail to divide it.  A false verdict, or None."""
     order = group.order()
     if expected > order or order % expected != 0:
         return QueryResult(query, False, expected, None, METHOD_SHORTCUT)
+    return None
+
+
+def _decide_orbit(group, seed, act, expected, query, cap):
+    """Shared shortcut-then-BFS skeleton behind the decisions below."""
+    return (_order_refutes(group, expected, query)
+            or _walk_orbit(group, seed, act, expected, query, cap))
+
+
+def _walk_orbit(group, seed, act, expected, query, cap):
+    """The verdict of an orbit walk.  `seed` is in canonical tuple form; the
+    walk runs on its compact encoding under the CompactAction `act`."""
     start = act.encode(seed, group.degree)
     size = len(orbit(group, start, act, cap=cap))
     return QueryResult(query, size == expected, expected, size, METHOD_BFS)
 
 
 def decide_t_homogeneous(group, t, cap=DEFAULT_ORBIT_CAP):
+    """t-transitivity, which the chain shows, settles t-homogeneity too;
+    otherwise the t-sets are walked."""
     n = group.degree
     if not 0 <= t <= n:
         raise ValueError("t must be between 0 and %d, got %d" % (n, t))
@@ -99,11 +113,18 @@ def decide_t_homogeneous(group, t, cap=DEFAULT_ORBIT_CAP):
     expected = math.comb(n, t)
     if t == 0:
         return QueryResult(query, True, 1, None, METHOD_SHORTCUT)
-    return _decide_orbit(group, tuple(range(t)), compact_set, expected, query,
-                         cap)
+    refuted = _order_refutes(group, expected, query)
+    if refuted:
+        return refuted
+    if group.chain().prefix_orbit_size(t) == falling_factorial(n, t):
+        return QueryResult(query, True, expected, expected, METHOD_CHAIN)
+    return _walk_orbit(group, tuple(range(t)), compact_set, expected, query,
+                       cap)
 
 
 def decide_t_transitive(group, t, cap=DEFAULT_ORBIT_CAP):
+    """The orbit of the tuple (0, ..., t-1) is read off the stabilizer chain,
+    whose base is 0, 1, 2, ...; no walk, so `cap` does not apply."""
     n = group.degree
     if not 0 <= t <= n:
         raise ValueError("t must be between 0 and %d, got %d" % (n, t))
@@ -111,8 +132,11 @@ def decide_t_transitive(group, t, cap=DEFAULT_ORBIT_CAP):
     if t == 0:
         return QueryResult(query, True, 1, None, METHOD_SHORTCUT)
     expected = falling_factorial(n, t)
-    return _decide_orbit(group, tuple(range(t)), compact_tuple, expected, query,
-                         cap)
+    refuted = _order_refutes(group, expected, query)
+    if refuted:
+        return refuted
+    size = group.chain().prefix_orbit_size(t)
+    return QueryResult(query, size == expected, expected, size, METHOD_CHAIN)
 
 
 def decide_lambda_homogeneous(group, lam, cap=DEFAULT_ORBIT_CAP):

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -97,7 +98,7 @@ class Permutation:
         return _unchecked(tuple(inv))
 
     def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def one_line(self):
         """1-based image row."""
@@ -311,18 +312,34 @@ compact_tuple = CompactAction(
 
 # ---------------------------------------------------------------------------
 # stabilizer chains
+#
+# Every chain has the base 0, 1, 2, ...: level k belongs to the pointwise
+# stabilizer of points 0..k-1 and holds the orbit of point k, trivial levels
+# included.  So the orbit of the tuple (0, ..., t-1) can be read off the
+# first t levels, and sifting looks up g[k] at level k.
 
 
 @dataclass
 class ChainLevel:
+    """One level: generators of the level's group, all fixing points
+    0..point-1, the Schreier tree of `point` under them, and the image
+    tuples of the tree elements' inverses, which sifting applies."""
+
     point: int
     gens: list = field(default_factory=list)
     transversal: dict = field(default_factory=dict)
+    inverses: dict = field(default_factory=dict)
+
+    def rebuild(self, degree):
+        self.transversal = orbit_transversal(PermGroup(degree, self.gens),
+                                             self.point, act_point)
+        self.inverses = {x: u.inverse().images
+                         for x, u in self.transversal.items()}
 
 
 @dataclass
 class StabilizerChain:
-    """Base-and-strong-generators data; levels[i] stabilizes base[:i]."""
+    """Base-and-strong-generators data; levels[k] stabilizes points 0..k-1."""
 
     degree: int
     levels: list
@@ -332,90 +349,114 @@ class StabilizerChain:
         return tuple(level.point for level in self.levels)
 
     def order(self):
-        n = 1
-        for level in self.levels:
-            n *= len(level.transversal)
-        return n
+        return self.prefix_orbit_size(len(self.levels))
+
+    def prefix_orbit_size(self, t):
+        """Size of the orbit of the tuple (0, ..., t-1), |G| / |G_(0..t-1)|:
+        the product of the first t basic orbit lengths, which is |G| once t
+        passes the base."""
+        return math.prod(len(level.transversal) for level in self.levels[:t])
 
     def sift(self, perm):
         """Factor perm through the transversals; identity residue = member."""
-        return _strip(self.levels, perm, 0)[0]
+        return _unchecked(_sift(self.levels, perm.images, 0)[0])
 
     def contains(self, perm):
         return self.sift(perm).is_identity()
 
 
-def _strip(levels, g, start):
-    """Sift g through levels[start:]: (residue, index of the level it
-    stopped at, or len(levels))."""
+def _sift(levels, g, start):
+    """Sift the image tuple g through levels[start:]: (residue, index of the
+    level it stopped at, or len(levels))."""
+    identity = tuple(range(len(g)))
     for j in range(start, len(levels)):
-        u = levels[j].transversal.get(g.images[levels[j].point])
-        if u is None:
-            return g, j
-        g = g * u.inverse()
-        if g.is_identity():
+        if g == identity:
             break
+        inverse = levels[j].inverses.get(g[j])
+        if inverse is None:
+            return g, j
+        g = tuple(map(inverse.__getitem__, g))
     return g, len(levels)
 
 
-def schreier_sims(degree, generators):
-    """Deterministic base/strong-generating-set construction.
+def _absorb(levels, g, start):
+    """Sift the image tuple g from level `start`; unless it sifts to the
+    identity, add its residue as a strong generator to the levels from
+    `start` down to the one it stopped at, appending levels up to the first
+    point it moves, and rebuild those levels.  Returns the deepest of them,
+    or None when g sifted through.
 
-    Base points are taken as the smallest point moved at each level, so for a
-    fixed generator list the chain (and all transversals) is reproducible.
-    Level k sees every strong generator fixing the first k base points, which
-    keeps the level groups nested the way the order product requires.
+    The levels above `start` need not gain the residue: sifting from
+    `start` only multiplies g by elements of the level groups there, so
+    when g lies in the group of level start-1, so does the residue.
     """
-    base = []
-    strong = []
+    residue, j = _sift(levels, g, start)
+    if j == len(levels):
+        moved = [p for p in range(j, len(residue)) if residue[p] != p]
+        if not moved:
+            return None
+        j = moved[0]
+        levels.extend(ChainLevel(p) for p in range(len(levels), j + 1))
+    h = _unchecked(residue)
+    for level in levels[start:j + 1]:
+        level.gens.append(h)
+        level.rebuild(len(residue))
+    return j
+
+
+def _schreier_generators(tree, steps, gens, inverse_of):
+    """The Schreier generators u_x s u_{xs}^-1 of a Schreier tree, as image
+    tuples in tree order, skipping the tree edges, where they are the
+    identity; `inverse_of(y)` is the image tuple of tree[y]'s inverse."""
+    for x, ux in tree.items():
+        for step, s in zip(steps, gens):
+            y = step(x)
+            uxs = tuple(map(s.__getitem__, ux.images))
+            if uxs != tree[y].images:
+                yield tuple(map(inverse_of(y).__getitem__, uxs))
+
+
+def _absorb_schreier_generator(levels, i):
+    """Sift the Schreier generators of level i into the levels below it
+    until one is absorbed: the level `_absorb` returns for it, or None when
+    all sift through."""
+    level = levels[i]
+    gens = [s.images for s in level.gens]
+    for h in _schreier_generators(level.transversal,
+                                  [s.__getitem__ for s in gens], gens,
+                                  level.inverses.__getitem__):
+        j = _absorb(levels, h, i + 1)
+        if j is not None:
+            return j
+    return None
+
+
+def _close(levels):
+    """Complete a partial chain, deepest level first (Holt, Eick & O'Brien,
+    *Handbook of Computational Group Theory*, 2005, 4.4.2): once the levels
+    below i form a chain of their group, sift the Schreier generators of
+    level i into them; when one is absorbed at level j, resume at j."""
+    i = len(levels) - 1
+    while i >= 0:
+        j = _absorb_schreier_generator(levels, i)
+        i = i - 1 if j is None else j
+
+
+def schreier_sims(degree, generators):
+    """Deterministic base/strong-generating-set construction with base
+    0, 1, 2, ....
+
+    The generators are sifted in one by one, then Schreier-Sims completes
+    the chain deepest level first.  For a fixed generator list the chain,
+    its transversals included, is reproducible.  A residue joins the levels
+    from the one its sift started at to the one it stopped at; the group of
+    each level above already holds it, so the level groups stay nested the
+    way the order product requires.
+    """
     levels = []
-
-    def rebuild(k):
-        level = levels[k]
-        level.gens = [g for g in strong
-                      if all(g.images[base[m]] == base[m] for m in range(k))]
-        level.transversal = orbit_transversal(PermGroup(degree, level.gens),
-                                              level.point, act_point)
-
-    def add_generator(g, start):
-        """Sift g in; returns True if a new strong generator was absorbed."""
-        residue, j = _strip(levels, g, start)
-        if residue.is_identity():
-            return False
-        strong.append(residue)
-        if j == len(levels):
-            moved = min(i for i in range(degree) if residue.images[i] != i)
-            base.append(moved)
-            levels.append(ChainLevel(moved))
-        for k in range(j + 1):
-            rebuild(k)
-        return True
-
     for g in generators:
-        if not g.is_identity():
-            add_generator(g, 0)
-
-    # Close under Schreier generators: repeat full passes until no level
-    # absorbs a new strong generator.  Each absorption strictly grows the
-    # product of transversal sizes, so the loop terminates.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(levels)):
-            level = levels[i]
-            for x in list(level.transversal):
-                ux = level.transversal[x]
-                for s in level.gens:
-                    y = s.images[x]
-                    uy = level.transversal[y]
-                    schreier = ux * s * uy.inverse()
-                    if schreier.is_identity():
-                        continue
-                    if add_generator(schreier, i + 1):
-                        changed = True
-            if changed:
-                break
-
+        _absorb(levels, g.images, 0)
+    _close(levels)
     return StabilizerChain(degree, levels)
 
 
@@ -540,26 +581,38 @@ def orbit_transversal(group, seed, act, cap=DEFAULT_ORBIT_CAP):
 
 
 def stabilizer_generators(group, seed, act, cap=DEFAULT_ORBIT_CAP):
-    """Setwise/pointwise stabilizer of seed via Schreier generators.
+    """Setwise/pointwise stabilizer of seed, built to its known order.
 
-    Works for either kind of action `orbit` takes; the result is a group on
-    the same points as `group` whose elements all fix `seed` under `act`.
+    Works for either kind of action `orbit` takes.  The Schreier tree of
+    seed gives the stabilizer's order |G| / |orbit|.  The Schreier
+    generators u_x s u_{xs}^-1, in tree order, are sifted into a chain with
+    base 0, 1, ... until the product of its basic orbit lengths reaches that
+    order; a partial chain whose product equals the group's order is
+    complete, so the result is exact.  Should the generators run out first,
+    Schreier-Sims completes the chain.  The result is a group on the same
+    points as `group`, generated by the chain's strong generators, which all
+    fix `seed` under `act`, and it carries that chain.
     """
-    trans = orbit_transversal(group, seed, act, cap=cap)
-    steps = _action_steps(group, act)
-    gens = []
-    seen = set()
-    for x, ux in trans.items():
-        for step, g in zip(steps, group.generators):
-            schreier = ux * g * trans[step(x)].inverse()
-            if schreier.is_identity() or schreier.images in seen:
-                continue
-            seen.add(schreier.images)
-            gens.append(schreier)
-    if not gens:
-        gens = [Permutation.identity(group.degree)]
-    return PermGroup(group.degree, gens,
+    n = group.degree
+    tree = orbit_transversal(group, seed, act, cap=cap)
+    target = group.order() // len(tree)
+    chain = StabilizerChain(n, [])
+    for h in _schreier_generators(tree, _action_steps(group, act),
+                                  group.raw_gens(),
+                                  lambda y: tree[y].inverse().images):
+        if chain.order() == target:
+            break
+        _absorb(chain.levels, h, 0)
+    if chain.order() != target:
+        _close(chain.levels)
+    if chain.order() != target:
+        raise InternalCheckError(
+            "stabilizer chain has order %d, the orbit gives %d"
+            % (chain.order(), target))
+    stab = PermGroup(n, chain.levels[0].gens if chain.levels else (),
                      name="stabilizer in %s" % group.name)
+    stab._chain = chain
+    return stab
 
 
 def induced_action(group, domain):

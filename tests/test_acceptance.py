@@ -18,7 +18,7 @@ import pytest
 
 from parthom.catalog import build_group, catalog_entries
 from parthom.homogeneity import (
-    METHOD_BFS,
+    METHOD_CHAIN,
     decide_lambda_homogeneous,
     decide_lambda_transitive,
     decide_t_transitive,
@@ -40,6 +40,7 @@ from parthom.perm import (
     act_set,
     act_tuple,
     burnside_orbit_count,
+    compact_tuple,
     enumerate_elements,
     orbit,
     orbit_count,
@@ -501,10 +502,13 @@ def test_criterion_10_catalog_orders_and_mathieu_transitivity():
             words = enumerate_elements(entry.group, cap=2 * 10 ** 5)
             assert len(words) == order, entry.spec
 
-    m11 = decide_t_transitive(build_group("m:11"), 4)
-    assert m11.verdict and m11.method == METHOD_BFS
-    assert m11.orbit_size == 7920
+    # the tuple orbits walked here are the evidence; the decision reads the
+    # same numbers off the stabilizer chain
+    for spec, t, size in (("m:11", 4, 7920), ("m:12", 5, 95040)):
+        group = build_group(spec)
+        start = compact_tuple.encode(tuple(range(t)), group.degree)
+        assert len(orbit(group, start, compact_tuple)) == size, spec
 
-    m12 = decide_t_transitive(build_group("m:12"), 5)
-    assert m12.verdict and m12.method == METHOD_BFS
-    assert m12.orbit_size == 95040
+        decided = decide_t_transitive(group, t)
+        assert decided.verdict and decided.method == METHOD_CHAIN, spec
+        assert decided.orbit_size == size, spec

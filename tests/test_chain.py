@@ -1,0 +1,224 @@
+"""The stabilizer-chain layer against plain enumeration and orbit walks.
+
+Every chain has the base 0, 1, 2, ..., so the orbit of the tuple
+(0, ..., t-1) is the product of the first t basic orbit lengths, and the
+decisions read t-transitivity off it.  Here the chain is checked against the
+element list and the breadth-first tuple orbits on every catalog group to
+degree 9 and on seeded random groups, intransitive ones and ones fixing
+point 0 among them.  Stabilizers built to their known order are checked
+against the orbit-stabilizer count, including the case where one sifting
+pass over the Schreier generators falls short and Schreier-Sims completes
+the chain.
+"""
+
+import math
+import random
+
+import pytest
+
+from parthom import perm
+from parthom.catalog import build_group, catalog_entries
+from parthom.homogeneity import (
+    METHOD_CHAIN,
+    decide_t_homogeneous,
+    decide_t_transitive,
+)
+from parthom.perm import (
+    EnumerationCapExceeded,
+    PermGroup,
+    Permutation,
+    act_point,
+    act_set,
+    compact_set,
+    compact_tuple,
+    enumerate_elements,
+    mask_of,
+    orbit,
+    schreier_sims,
+    stabilizer_generators,
+)
+
+CATALOG = catalog_entries(9)
+RANDOM_ORDER_CAP = 5000
+
+
+def random_group(rng):
+    """Degree 4-9, one to three generators that each permute only a random
+    subset of the points (all of them half the time), so some groups are
+    intransitive and some fix point 0."""
+    degree = rng.randint(4, 9)
+    if rng.random() < 0.5:
+        moved = list(range(degree))
+    else:
+        moved = sorted(rng.sample(range(degree), rng.randint(2, degree - 1)))
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        images = list(range(degree))
+        for p, q in zip(moved, rng.sample(moved, len(moved))):
+            images[p] = q
+        gens.append(Permutation(images))
+    return PermGroup(degree, gens, name="random")
+
+
+def random_groups(count=20, seed=6):
+    """(group, its elements) for `count` random groups of at most
+    RANDOM_ORDER_CAP elements, found by enumeration rather than by the
+    chain under test."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        group = random_group(rng)
+        try:
+            elements = enumerate_elements(group, cap=RANDOM_ORDER_CAP)
+        except EnumerationCapExceeded:
+            continue
+        out.append((group, elements))
+    return out
+
+
+RANDOM = random_groups()
+
+
+def test_random_groups_cover_intransitive_and_fixed_point_cases():
+    transitive = [len(orbit(g, 0, act_point)) == g.degree for g, _ in RANDOM]
+    assert 0 < sum(transitive) < len(RANDOM)
+    assert any(orbit(g, 0, act_point) == {0} for g, _ in RANDOM)
+
+
+def check_chain(group, elements):
+    chain = schreier_sims(group.degree, group.generators)
+    assert chain.order() == len(elements)
+    assert chain.base == tuple(range(len(chain.levels)))
+    for k, level in enumerate(chain.levels):
+        for g in level.gens:
+            assert g.images[:k] == tuple(range(k))
+        for x, u in level.transversal.items():
+            assert u.images[k] == x
+            assert level.inverses[x] == u.inverse().images
+    if chain.levels:
+        assert len(chain.levels[-1].transversal) > 1, "trailing trivial level"
+    for g in elements:
+        assert chain.sift(g).is_identity()
+    # non-members: their residues stay non-trivial
+    members = {g.images for g in elements}
+    rng = random.Random(group.degree)
+    for _ in range(20):
+        g = Permutation(rng.sample(range(group.degree), group.degree))
+        assert chain.sift(g).is_identity() == (g.images in members)
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.spec)
+def test_chain_matches_enumeration_on_catalog(entry):
+    check_chain(entry.group, enumerate_elements(entry.group))
+
+
+def test_chain_matches_enumeration_on_random_groups():
+    for group, elements in RANDOM:
+        check_chain(group, elements)
+
+
+def check_tuple_orbits(group):
+    """The chain's orbit of (0, ..., t-1) against the breadth-first walk, and
+    the decisions that read it against the walked verdicts."""
+    n = group.degree
+    chain = group.chain()
+    for t in range(1, n + 1):
+        start = compact_tuple.encode(tuple(range(t)), n)
+        walked = len(orbit(group, start, compact_tuple))
+        assert chain.prefix_orbit_size(t) == walked, t
+        trans = decide_t_transitive(group, t)
+        assert trans.verdict == (walked == math.perm(n, t)), t
+        if trans.method == METHOD_CHAIN:
+            assert trans.orbit_size == walked, t
+        hom = decide_t_homogeneous(group, t)
+        sets = len(orbit(group, mask_of(range(t)), compact_set))
+        assert hom.verdict == (sets == math.comb(n, t)), t
+        if hom.method == METHOD_CHAIN:
+            assert hom.orbit_size == sets, t
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.spec)
+def test_chain_tuple_orbits_match_walks_on_catalog(entry):
+    check_tuple_orbits(entry.group)
+
+
+def test_chain_tuple_orbits_match_walks_on_random_groups():
+    for group, _ in RANDOM:
+        check_tuple_orbits(group)
+
+
+def test_mathieu_transitivity_degrees_from_the_chain():
+    m24 = build_group("m:24")
+    assert decide_t_transitive(m24, 5).verdict
+    assert decide_t_transitive(m24, 5).orbit_size == math.perm(24, 5)
+    assert not decide_t_transitive(m24, 6).verdict
+    m23 = build_group("m:23")
+    assert decide_t_transitive(m23, 4).verdict
+    assert decide_t_transitive(m23, 4).orbit_size == math.perm(23, 4)
+    assert not decide_t_transitive(m23, 5).verdict
+
+
+@pytest.mark.slow
+def test_m24_five_tuple_walk_matches_the_chain():
+    m24 = build_group("m:24")
+    start = compact_tuple.encode(tuple(range(5)), 24)
+    walked = len(orbit(m24, start, compact_tuple))
+    assert walked == 5100480
+    assert decide_t_transitive(m24, 5).orbit_size == walked
+
+
+# -- stabilizers built to a known order ---------------------------------------
+
+def check_stabilizer(group, seed, act, fixes):
+    order = group.order()
+    stab = stabilizer_generators(group, seed, act)
+    size = len(orbit(group, seed, act))
+    # the order from a fresh chain of the returned generators, not the one
+    # the stabilizer carries
+    assert PermGroup(group.degree, stab.generators).order() * size == order
+    assert stab.order() * size == order
+    for g in stab.generators:
+        assert fixes(g.images)
+    return stab
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.spec)
+def test_known_order_stabilizers_on_catalog(entry):
+    group = entry.group
+    for t in range(1, group.degree // 2 + 1):
+        seed = tuple(range(t))
+        check_stabilizer(group, mask_of(seed), compact_set,
+                         lambda images: act_set(seed, images) == seed)
+        check_stabilizer(group, seed, act_set,
+                         lambda images: act_set(seed, images) == seed)
+        check_stabilizer(group, compact_tuple.encode(seed, group.degree),
+                         compact_tuple,
+                         lambda images: images[:t] == seed)
+
+
+@pytest.mark.parametrize("gens", [
+    # S_4 on points 1..4: the whole group fixes point 0, so the Schreier
+    # generators are the generators themselves, and sifting those two
+    # builds a chain of order 12 only
+    [(0, 4, 2, 3, 1), (0, 4, 1, 2, 3)],
+    # a criterion-09 random group, S_8: one pass over the Schreier
+    # generators of point 0 reaches order 1680 of 5040
+    [(6, 1, 3, 5, 7, 0, 2, 4), (0, 5, 6, 2, 3, 4, 7, 1)],
+], ids=["s4-fixing-0", "s8-random"])
+def test_stabilizer_falls_back_to_schreier_sims(gens, monkeypatch):
+    group = PermGroup(len(gens[0]), [Permutation(g) for g in gens])
+    group.order()
+    completions = []
+
+    def close(levels):
+        completions.append(math.prod(len(l.transversal) for l in levels))
+        return original(levels)
+
+    original = perm._close
+    monkeypatch.setattr(perm, "_close", close)
+    stab = stabilizer_generators(group, 0, act_point)
+    monkeypatch.undo()
+    assert len(completions) == 1
+    assert completions[0] < stab.order()
+    assert stab.order() * len(orbit(group, 0, act_point)) == group.order()
+    assert all(g.images[0] == 0 for g in stab.generators)

@@ -73,6 +73,20 @@ def test_check_homog(capsys):
     assert lines[1].startswith("3-transitive false")
 
 
+def test_check_homog_m24_five_tuples_from_the_chain(capsys):
+    # the orbit of 5,100,480 tuples is read off the chain, and t-homogeneity
+    # follows from t-transitivity; --cap bounds walks, so a cap of 10 states
+    # changes nothing here
+    code, payload, _ = invoke_json(capsys, "check-homog", "--group", "m:24",
+                                   "--t", "5", "--cap", "10")
+    assert code == 0
+    trans = payload["transitive"]
+    assert trans["verdict"] is True
+    assert trans["orbit_size"] == trans["expected"] == 5100480
+    assert trans["method"] == "stabilizer-chain"
+    assert payload["homogeneous"]["verdict"] is True
+
+
 def test_check_lambda_json(capsys):
     code, payload, _ = invoke_json(capsys, "check-lambda", "--group",
                                    "psl2:5", "--lambda", "3,3")
