@@ -129,22 +129,27 @@ def _line_perm(f, finite_map, zero_to, inf_to, index_of, element_at):
 
 
 def pgl2(q):
-    f = GF(q)
+    return PermGroup(q + 1, _pgl2_generators(GF(q)), name="PGL(2,%d)" % q)
+
+
+def _pgl2_generators(f):
+    """x -> x+1, x -> alpha*x and x -> 1/x on the projective line of f."""
     element_at, index_of = _line_indexing(f)
+    q = f.q
     inf = q
     translate = _line_perm(f, lambda e: f.add(e, f.one),
                            index_of[f.one], inf, index_of, element_at)
     scale = _line_perm(f, lambda e: f.mul(e, f.alpha),
                        0, inf, index_of, element_at)
     invert = _line_perm(f, lambda e: f.inv(e), inf, 0, index_of, element_at)
-    return PermGroup(q + 1, [translate, scale, invert], name="PGL(2,%d)" % q)
+    return [translate, scale, invert]
 
 
 def psl2(q):
     f = GF(q)
     if f.p == 2:
-        g = pgl2(q)           # the two groups coincide in characteristic 2
-        return PermGroup(g.degree, g.generators, name="PSL(2,%d)" % q)
+        # the two groups coincide in characteristic 2
+        return PermGroup(q + 1, _pgl2_generators(f), name="PSL(2,%d)" % q)
     element_at, index_of = _line_indexing(f)
     inf = q
     alpha2 = f.mul(f.alpha, f.alpha)
@@ -160,10 +165,9 @@ def psl2(q):
 
 def pgammal2(q):
     f = GF(q)
-    base = pgl2(q)
     element_at, index_of = _line_indexing(f)
     frob = _line_perm(f, lambda e: f.frobenius(e), 0, q, index_of, element_at)
-    return PermGroup(q + 1, list(base.generators) + [frob],
+    return PermGroup(q + 1, _pgl2_generators(f) + [frob],
                      name="PGammaL(2,%d)" % q)
 
 

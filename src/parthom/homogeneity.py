@@ -3,13 +3,16 @@
 Every decision reduces to one orbit size compared against a closed-form
 count, tried only after two exact-arithmetic shortcuts: an orbit can neither
 exceed the group order nor fail to divide it, so most negative verdicts are
-settled without any walk.  The orbit of the tuple (0, ..., t-1) is read off
-the group's stabilizer chain, whose base is 0, 1, 2, ...; that settles
-t-transitivity, and t-homogeneity whenever the group is t-transitive.  Every
-other orbit is walked.  Verdicts are seed-independent, and all walks start
-from the canonical first object of the relevant kind.  The walks run on the
-compact states of `perm.CompactAction`: bitmasks for sets and blocks, bytes
-for tuples of points.
+settled without any walk.  Orbit sizes are read off the group's stabilizer
+chains, whose bases are 0, 1, 2, ... and n-1, n-2, ...: the orbit of the
+tuple (0, ..., t-1) directly, and the orbit of a partition or a t-set as the
+orbit of one of its point tuples divided by the block reorderings the group
+realizes on it (`ChainPlan`).  A partition or t-set whose reorderings
+outnumber its expected orbit is walked instead.  Verdicts are
+seed-independent, and all reads and walks start from the canonical first
+object of the relevant kind.  The walks run on the compact states of
+`perm.CompactAction`: bitmasks for sets and blocks, bytes for tuples of
+points.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .partitions import (
     count_unordered,
     first_partition_of_type,
     format_int_partition,
+    ordered_per_unordered,
 )
 from .perm import (
     DEFAULT_ORBIT_CAP,
@@ -88,10 +92,61 @@ def _order_refutes(group, expected, query):
     return None
 
 
-def _decide_orbit(group, seed, act, expected, query, cap):
-    """Shared shortcut-then-BFS skeleton behind the decisions below."""
-    return (_order_refutes(group, expected, query)
-            or _walk_orbit(group, seed, act, expected, query, cap))
+@dataclass(frozen=True)
+class ChainPlan:
+    """Which blocks of a seed a chain read keeps: the runs of `sizes` from
+    the chain's first base point, which is point 0, or point n-1 when
+    `reverse`, with the points counted down from there.  The seed's other
+    class, the points outside the runs, is left out: it is one block or the
+    trailing singletons, so the orbit of the kept blocks, as a set of sets
+    or, when `ordered`, as a tuple of sets, is the orbit of the seed."""
+
+    sizes: tuple
+    ordered: bool
+    reverse: bool = False
+
+    @property
+    def reorderings(self):
+        """|W|, the reorderings of the kept points that keep the blocks:
+        the complete maps the chain read's backtrack can reach."""
+        count = math.prod(map(math.factorial, self.sizes))
+        return count if self.ordered else \
+            count * ordered_per_unordered(self.sizes)
+
+
+def chain_plans(lam, ordered):
+    """Every plan that reads the seed `first_partition_of_type(lam)` off a
+    chain, prefix reads first.  An ordered partition leaves out its last or
+    its first block.  An unordered one leaves out its singletons, or its
+    last or first block when no other block has that block's size, since
+    the blocks it keeps then cover the same points in every partition of
+    its orbit."""
+    first, rest = lam[0], tuple(reversed(lam[1:]))
+    if ordered:
+        return [ChainPlan(lam[:-1], True), ChainPlan(rest, True, True)]
+    plans = [ChainPlan(tuple(k for k in lam if k > 1), False)]
+    if lam[-1] > 1 and lam.count(lam[-1]) == 1:
+        plans.append(ChainPlan(lam[:-1], False))
+    if lam.count(first) == 1:
+        plans.append(ChainPlan(rest, False, True))
+    return plans
+
+
+def chain_orbit_size(group, plan):
+    """The orbit size of the blocks `plan` keeps, read off the chain."""
+    chain = group.reversed_chain() if plan.reverse else group.chain()
+    return chain.block_orbit_size(plan.sizes, plan.ordered)
+
+
+def _read_or_walk(group, plan, seed, act, expected, query, cap):
+    """Read the orbit off the chain when the reorderings its backtrack can
+    reach, |W|, number no more than the states a walk of a single orbit
+    would visit; walk it otherwise."""
+    if plan.reorderings <= expected:
+        size = chain_orbit_size(group, plan)
+        return QueryResult(query, size == expected, expected, size,
+                           METHOD_CHAIN)
+    return _walk_orbit(group, seed, act, expected, query, cap)
 
 
 def _walk_orbit(group, seed, act, expected, query, cap):
@@ -104,7 +159,8 @@ def _walk_orbit(group, seed, act, expected, query, cap):
 
 def decide_t_homogeneous(group, t, cap=DEFAULT_ORBIT_CAP):
     """t-transitivity, which the chain shows, settles t-homogeneity too;
-    otherwise the t-sets are walked."""
+    otherwise the orbit of {0, ..., t-1} is read off the chain, its t!
+    reorderings permitting, or walked."""
     n = group.degree
     if not 0 <= t <= n:
         raise ValueError("t must be between 0 and %d, got %d" % (n, t))
@@ -118,8 +174,8 @@ def decide_t_homogeneous(group, t, cap=DEFAULT_ORBIT_CAP):
         return refuted
     if group.chain().prefix_orbit_size(t) == falling_factorial(n, t):
         return QueryResult(query, True, expected, expected, METHOD_CHAIN)
-    return _walk_orbit(group, tuple(range(t)), compact_set, expected, query,
-                       cap)
+    return _read_or_walk(group, ChainPlan((t,), True), tuple(range(t)),
+                         compact_set, expected, query, cap)
 
 
 def decide_t_transitive(group, t, cap=DEFAULT_ORBIT_CAP):
@@ -146,18 +202,26 @@ def decide_lambda_homogeneous(group, lam, cap=DEFAULT_ORBIT_CAP):
         # the partition into singletons is unique, so every group works
         return QueryResult(query, True, 1, None, METHOD_SHORTCUT)
     expected = count_unordered(lam)
-    seed = first_partition_of_type(lam)
-    return _decide_orbit(group, seed, compact_set_partition, expected, query,
-                         cap)
+    return _decide_partition(group, lam, False, expected, query, cap)
 
 
 def decide_lambda_transitive(group, lam, cap=DEFAULT_ORBIT_CAP):
     lam = _check_shape(group, lam)
     query = "lambda-transitive %s" % format_int_partition(lam)
     expected = count_ordered(lam)
-    seed = first_partition_of_type(lam)
-    return _decide_orbit(group, seed, compact_ordered_partition, expected,
-                         query, cap)
+    return _decide_partition(group, lam, True, expected, query, cap)
+
+
+def _decide_partition(group, lam, ordered, expected, query, cap):
+    """The order shortcut, then the orbit of `first_partition_of_type(lam)`
+    through the plan with the fewest reorderings."""
+    refuted = _order_refutes(group, expected, query)
+    if refuted:
+        return refuted
+    plan = min(chain_plans(lam, ordered), key=lambda p: p.reorderings)
+    act = compact_ordered_partition if ordered else compact_set_partition
+    return _read_or_walk(group, plan, first_partition_of_type(lam), act,
+                         expected, query, cap)
 
 
 def _check_shape(group, lam):

@@ -357,6 +357,82 @@ class StabilizerChain:
         passes the base."""
         return math.prod(len(level.transversal) for level in self.levels[:t])
 
+    def block_orbit_size(self, sizes, ordered=False):
+        """Size of the orbit of the blocks 0..s1-1, s1..s1+s2-1, ... (run
+        sizes `sizes` from point 0) as a set of sets, or as a tuple of sets
+        when `ordered`.
+
+        Let T be the tuple (0, ..., m-1) of the blocks' points and W the
+        reorderings of T that keep the blocks: points permuted inside each
+        block and, unless `ordered`, equal-size blocks swapped.  The blocks'
+        stabilizer maps onto S, the w in W that some group element agrees
+        with on T, with kernel G_(0..m-1), so the orbit has |T^G| / |S|
+        elements.  S is a group, so |S| is the product of its basic orbit
+        lengths on the base 0, ..., m-1: the number of images y of point j
+        for which the w that fixes 0..j-1 and sends j to y extends to an
+        element of S.  A depth-first backtrack over W looks for one such
+        extension, point by point in base order, and keeps a partial map
+        only while its images sift: a map of 0..j is realized exactly when
+        w(j), moved by the inverses of the transversal elements already
+        chosen, lies in the orbit of level j, and beyond the last level
+        every point must map to itself.  A repeated image fails the sift,
+        so the backtrack need not keep its maps injective.  The searches
+        for different y cover disjoint parts of W.
+        """
+        blocks = []
+        start = 0
+        for s in sizes:
+            blocks.append(range(start, start + s))
+            start += s
+        m = start
+        home = [b for b in blocks for _ in b]
+        # the images a block's first point may take: its own block, or every
+        # block of its size; later points go to the block the first one hit
+        starts = {b.start: tuple(b) if ordered else
+                  tuple(x for c in blocks if len(c) == len(b) for x in c)
+                  for b in blocks}
+        levels = self.levels
+
+        def options(j, previous_image):
+            return starts.get(j) or home[previous_image]
+
+        def extends(j, residues, images):
+            """Whether a map realized on 0..j-1 extends to an element of
+            S.  A node is (j, residues, images): residues[y] is point y
+            moved by the inverses chosen at levels 0..j-1, and images are
+            the values w(j) may take."""
+            stack = [(j, residues, images)]
+            while stack:
+                j, residues, images = stack.pop()
+                if j == m:
+                    return True
+                inverses = levels[j].inverses if j < len(levels) else {j: None}
+                for y in images:
+                    r = residues[y]
+                    if r in inverses:
+                        if r != j:
+                            residues_y = tuple(map(inverses[r].__getitem__,
+                                                   residues))
+                        else:   # the transversal element of j is 1
+                            residues_y = residues
+                        stack.append((j + 1, residues_y, options(j + 1, y)))
+            return False
+
+        reorderings = 1
+        for j in range(m):
+            inverses = levels[j].inverses if j < len(levels) else {}
+            # y = j is the identity's image; the residues of the other
+            # candidates start from the inverse of their transversal element
+            reorderings *= 1 + sum(
+                extends(j + 1, inverses[y][:m], options(j + 1, y))
+                for y in options(j, j) if y != j and y in inverses)
+        tuples = self.prefix_orbit_size(m)
+        if tuples % reorderings:
+            raise InternalCheckError(
+                "%d realized block reorderings do not divide the orbit of "
+                "%d tuples" % (reorderings, tuples))
+        return tuples // reorderings
+
     def sift(self, perm):
         """Factor perm through the transversals; identity residue = member."""
         return _unchecked(_sift(self.levels, perm.images, 0)[0])
@@ -479,6 +555,7 @@ class PermGroup:
         self.generators = generators
         self.name = name or ("group of degree %d" % degree)
         self._chain = None
+        self._reversed_chain = None
         self._mask_maps = None
 
     def raw_gens(self):
@@ -495,6 +572,18 @@ class PermGroup:
         if self._chain is None:
             self._chain = schreier_sims(self.degree, self.generators)
         return self._chain
+
+    def reversed_chain(self):
+        """The chain with base n-1, n-2, ..., built on first use: the chain
+        of the group conjugated by i -> n-1-i, so its level k stabilizes
+        points 0..k-1 in those labels, which are n-1, ..., n-k here."""
+        if self._reversed_chain is None:
+            last = self.degree - 1
+            self._reversed_chain = schreier_sims(self.degree, [
+                _unchecked(tuple(last - g.images[last - i]
+                                 for i in range(self.degree)))
+                for g in self.generators])
+        return self._reversed_chain
 
     def order(self):
         return self.chain().order()

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from parthom import catalog
 from parthom.catalog import (
     CatalogError,
     agammal1,
@@ -21,7 +22,7 @@ from parthom.catalog import (
     symmetric,
     validate_catalog,
 )
-from parthom.fields import factor_prime_power
+from parthom.fields import GF, factor_prime_power
 from parthom.perm import act_point, enumerate_elements, orbit
 
 
@@ -117,6 +118,21 @@ def test_pgammal2_contains_pgl2_with_field_degree_quotient(q):
     for g in small.generators:
         assert big.contains(g)
     assert big.order() == d * small.order()
+
+
+@pytest.mark.parametrize("build", [pgl2, psl2, pgammal2])
+def test_projective_groups_build_their_field_once(build, monkeypatch):
+    pgl2_rows = [g.images for g in pgl2(32).generators]
+    builds = []
+
+    def counted(q):
+        builds.append(q)
+        return GF(q)
+
+    monkeypatch.setattr(catalog, "GF", counted)
+    group = build(32)
+    assert builds == [32]
+    assert [g.images for g in group.generators[:3]] == pgl2_rows
 
 
 def test_named_projective_orders():

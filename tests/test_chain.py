@@ -8,9 +8,13 @@ degree 9 and on seeded random groups, intransitive ones and ones fixing
 point 0 among them.  Stabilizers built to their known order are checked
 against the orbit-stabilizer count, including the case where one sifting
 pass over the Schreier generators falls short and Schreier-Sims completes
-the chain.
+the chain.  Partition and t-set orbits read off the chain, a tuple orbit
+divided by the block reorderings the group realizes, are checked against
+the walked orbits under every plan, the reversed chain's included, and on
+two m:24 rows that no walk reaches, against a tower of set stabilizers.
 """
 
+import itertools
 import math
 import random
 
@@ -20,8 +24,17 @@ from parthom import perm
 from parthom.catalog import build_group, catalog_entries
 from parthom.homogeneity import (
     METHOD_CHAIN,
+    ChainPlan,
+    chain_orbit_size,
+    chain_plans,
     decide_t_homogeneous,
     decide_t_transitive,
+)
+from parthom.partitions import (
+    compact_ordered_partition,
+    compact_set_partition,
+    first_partition_of_type,
+    integer_partitions,
 )
 from parthom.perm import (
     EnumerationCapExceeded,
@@ -32,8 +45,10 @@ from parthom.perm import (
     compact_set,
     compact_tuple,
     enumerate_elements,
+    mask_map,
     mask_of,
     orbit,
+    orbit_transversal,
     schreier_sims,
     stabilizer_generators,
 )
@@ -134,7 +149,9 @@ def check_tuple_orbits(group):
         sets = len(orbit(group, mask_of(range(t)), compact_set))
         assert hom.verdict == (sets == math.comb(n, t)), t
         if hom.method == METHOD_CHAIN:
-            assert hom.orbit_size == sets, t
+            # the decision reads the orbit of {0, ..., min(t, n-t)-1}
+            seeded = orbit(group, mask_of(range(min(t, n - t))), compact_set)
+            assert hom.orbit_size == len(seeded), t
 
 
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.spec)
@@ -222,3 +239,126 @@ def test_stabilizer_falls_back_to_schreier_sims(gens, monkeypatch):
     assert completions[0] < stab.order()
     assert stab.order() * len(orbit(group, 0, act_point)) == group.order()
     assert all(g.images[0] == 0 for g in stab.generators)
+
+
+# -- partition and t-set orbits read off the chain ----------------------------
+
+def check_block_orbit_reads(group):
+    """Every plan's chain read against the walked orbit of its seed, for
+    every shape, unordered and ordered, and every t-set seed; the plans are
+    called directly, whatever the decisions would pick."""
+    n = group.degree
+    for lam in integer_partitions(n):
+        seed = first_partition_of_type(lam)
+        for ordered, act in ((False, compact_set_partition),
+                             (True, compact_ordered_partition)):
+            walked = len(orbit(group, act.encode(seed, n), act))
+            for plan in chain_plans(lam, ordered):
+                assert chain_orbit_size(group, plan) == walked, (lam, plan)
+    for t in range(1, n):
+        walked = len(orbit(group, mask_of(range(t)), compact_set))
+        assert chain_orbit_size(group, ChainPlan((t,), True)) == walked, t
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.spec)
+def test_block_orbit_reads_match_walks_on_catalog(entry):
+    check_block_orbit_reads(entry.group)
+
+
+def test_block_orbit_reads_match_walks_on_random_groups():
+    for group, _ in RANDOM:
+        check_block_orbit_reads(group)
+
+
+def test_chain_plans_cover_every_omission():
+    # unordered: the singletons, the last block, the first block
+    assert chain_plans((3, 2, 1, 1), False) == [
+        ChainPlan((3, 2), False), ChainPlan((1, 1, 2), False, True)]
+    assert chain_plans((3, 3, 2), False) == [
+        ChainPlan((3, 3, 2), False), ChainPlan((3, 3), False)]
+    assert chain_plans((4, 2, 2), False) == [
+        ChainPlan((4, 2, 2), False), ChainPlan((2, 2), False, True)]
+    # ordered: the last block or the first
+    assert chain_plans((3, 2, 1), True) == [
+        ChainPlan((3, 2), True), ChainPlan((1, 2), True, True)]
+    assert ChainPlan((2, 2, 1), False).reorderings == 2 * 2 * 2
+    assert ChainPlan((2, 2, 1), True).reorderings == 4
+
+
+def check_reversed_chain(group):
+    """The reversed chain is a chain of the group with base n-1, n-2, ...:
+    conjugated back by i -> n-1-i, level k's generators fix n-1, ..., n-k
+    and its transversal maps n-1-k where the labels say."""
+    n = group.degree
+    last = n - 1
+    chain = group.reversed_chain()
+    assert chain.order() == group.order()
+
+    def back(images):
+        return tuple(last - images[last - i] for i in range(n))
+
+    for k, level in enumerate(chain.levels):
+        for g in level.gens:
+            images = back(g.images)
+            assert all(images[last - i] == last - i for i in range(k))
+            assert group.contains(Permutation(images))
+        for x, u in level.transversal.items():
+            assert back(u.images)[last - k] == last - x
+    assert chain.base == tuple(range(len(chain.levels)))
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.spec)
+def test_reversed_chain_on_catalog(entry):
+    check_reversed_chain(entry.group)
+
+
+def test_reversed_chain_on_random_groups():
+    for group, _ in RANDOM:
+        check_reversed_chain(group)
+
+
+def tower(group, blocks):
+    """The Schreier trees of a tower of set stabilizers: tree i is the orbit
+    of block i under the stabilizer of blocks 0..i-1, walked on bitmasks, so
+    the ordered orbit of the blocks is the product of the tree sizes."""
+    trees = []
+    for block in blocks:
+        mask = mask_of(block)
+        trees.append(orbit_transversal(group, mask, compact_set))
+        group = stabilizer_generators(group, mask, compact_set)
+    return trees
+
+
+def in_ordered_orbit(trees, masks):
+    """Transporter test: whether the tuple of block masks lies in the
+    ordered orbit of the tower's blocks, by moving each block back to the
+    tower's with the tree element of its level."""
+    for i, tree in enumerate(trees):
+        u = tree.get(masks[i])
+        if u is None:
+            return False
+        back = mask_map(u.inverse().images)
+        masks = [back(m) for m in masks]
+    return True
+
+
+@pytest.mark.parametrize("sizes, factors, unordered", [
+    ((4, 4), [10626, 2880], 15301440),
+    ((3, 3, 3), [2024, 1120, 54], 122411520),
+], ids=["4,4,1^16", "3,3,3,1^15"])
+def test_m24_block_orbits_beyond_any_walk(sizes, factors, unordered):
+    m24 = build_group("m:24")
+    blocks = first_partition_of_type(sizes)
+    trees = tower(m24, blocks)
+    assert [len(tree) for tree in trees] == factors
+    ordered = math.prod(factors)
+    masks = [mask_of(b) for b in blocks]
+    realized = sum(in_ordered_orbit(trees, list(p))
+                   for p in itertools.permutations(masks))
+    assert ordered // realized == unordered
+    chain = m24.chain()
+    assert chain.block_orbit_size(sizes, ordered=True) == ordered
+    assert chain.block_orbit_size(sizes) == unordered
+    lam = sizes + (1,) * (24 - sum(sizes))
+    plan = min(chain_plans(lam, False), key=lambda p: p.reorderings)
+    assert chain_orbit_size(m24, plan) == unordered

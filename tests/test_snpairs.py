@@ -264,7 +264,6 @@ def test_clause_dispatch_matches_computation_catalog_to_degree_nine():
     catalog_clause_agreement(catalog_entries(max_degree=9))
 
 
-@pytest.mark.slow
 def test_clause_dispatch_matches_computation_catalog_to_degree_twelve():
     entries = [e for e in catalog_entries(max_degree=12) if e.degree > 9]
     catalog_clause_agreement(entries)
