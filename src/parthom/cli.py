@@ -69,8 +69,8 @@ def cmd_orbit(args):
 
 def cmd_check_homog(args):
     group = build_group(args.group)
-    hom = decide_t_homogeneous(group, args.t, cap=args.cap)
-    trans = decide_t_transitive(group, args.t, cap=args.cap)
+    hom = decide_t_homogeneous(group, args.t)
+    trans = decide_t_transitive(group, args.t)
     payload = {"group": args.group, "t": args.t,
                "homogeneous": hom.as_dict(), "transitive": trans.as_dict()}
     return 0, payload, [_query_line("%d-homogeneous" % args.t, hom),
@@ -80,8 +80,8 @@ def cmd_check_homog(args):
 def cmd_check_lambda(args):
     group = build_group(args.group)
     lam = parse_int_partition(args.lam, group.degree)
-    hom = decide_lambda_homogeneous(group, lam, cap=args.cap)
-    trans = decide_lambda_transitive(group, lam, cap=args.cap)
+    hom = decide_lambda_homogeneous(group, lam)
+    trans = decide_lambda_transitive(group, lam)
     shown = format_int_partition(lam)
     payload = {"group": args.group, "lambda": shown,
                "homogeneous": hom.as_dict(), "transitive": trans.as_dict()}
@@ -98,9 +98,9 @@ def _pair_target(args, group):
 def cmd_check_pair(args):
     group = build_group(args.group)
     target = _pair_target(args, group)
-    verdict = is_sn_pair(target, group, cap=args.cap)
+    verdict = is_sn_pair(target, group)
     if args.clause:
-        verdict.clause = symbolic_clause(verdict.shape, group, cap=args.cap)
+        verdict.clause = symbolic_clause(verdict.shape, group)
     payload = {"group": args.group}
     payload.update(verdict.as_dict())
     lines = ["pair %s" % _bool(verdict.verdict)]
@@ -113,7 +113,7 @@ def cmd_check_pair(args):
 
 def cmd_classify(args):
     group = build_group(args.group)
-    rows = classify_all(group, cap=args.cap, with_clauses=not args.no_clauses)
+    rows = classify_all(group, with_clauses=not args.no_clauses)
     payload = {"group": args.group, "degree": group.degree,
                "rows": [v.as_dict() for v in rows]}
     lines = []
@@ -133,7 +133,7 @@ def cmd_verify_fixtures(args):
         tables = [t for t in tables if t.group_spec == args.group]
         if not tables:
             raise ValueError("no fixture table for group %r" % args.group)
-    report = verify_fixtures(tables, cap=args.cap)
+    report = verify_fixtures(tables)
     lines = []
     for entry in report["tables"]:
         lines.append("%s rows %d mismatches %d"
@@ -211,14 +211,12 @@ def build_parser():
                        help="t-homogeneity and t-transitivity")
     _add_group(p)
     p.add_argument("--t", type=int, required=True)
-    _add_cap(p, DEFAULT_ORBIT_CAP)
 
     p = sub.add_parser("check-lambda",
                        help="partition-homogeneity and -transitivity")
     _add_group(p)
     p.add_argument("--lambda", dest="lam", required=True,
                    help="partition of the degree, e.g. 3,2,1")
-    _add_cap(p, DEFAULT_ORBIT_CAP)
 
     p = sub.add_parser("check-pair",
                        help="does the map generate the full singular part")
@@ -228,20 +226,17 @@ def build_parser():
     what.add_argument("--map", help="transformation images, e.g. 1,1,3,4,5")
     p.add_argument("--clause", action="store_true",
                    help="also report the matching case-analysis clause")
-    _add_cap(p, DEFAULT_ORBIT_CAP)
 
     p = sub.add_parser("classify", help="pair verdict for every kernel type")
     _add_group(p)
     p.add_argument("--no-clauses", action="store_true",
                    help="skip the symbolic case analysis")
-    _add_cap(p, DEFAULT_ORBIT_CAP)
 
     p = sub.add_parser("verify-fixtures",
                        help="recompute the bundled reference tables")
     p.add_argument("--all", action="store_true",
                    help="verify every table (the default)")
     p.add_argument("--group", help="verify a single table")
-    _add_cap(p, DEFAULT_ORBIT_CAP)
 
     p = sub.add_parser("oracle-semigroup",
                        help="closure sizes over the group and over S_n")

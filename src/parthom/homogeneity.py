@@ -3,16 +3,13 @@
 Every decision reduces to one orbit size compared against a closed-form
 count, tried only after two exact-arithmetic shortcuts: an orbit can neither
 exceed the group order nor fail to divide it, so most negative verdicts are
-settled without any walk.  Orbit sizes are read off the group's stabilizer
-chains, whose bases are 0, 1, 2, ... and n-1, n-2, ...: the orbit of the
-tuple (0, ..., t-1) directly, and the orbit of a partition or a t-set as the
-orbit of one of its point tuples divided by the block reorderings the group
-realizes on it (`ChainPlan`).  A partition or t-set whose reorderings
-outnumber its expected orbit is walked instead.  Verdicts are
-seed-independent, and all reads and walks start from the canonical first
-object of the relevant kind.  The walks run on the compact states of
-`perm.CompactAction`: bitmasks for sets and blocks, bytes for tuples of
-points.
+settled without building any orbit.  Every other orbit size is read off the
+group's stabilizer chains, whose bases are 0, 1, 2, ... and n-1, n-2, ...:
+the orbit of the tuple (0, ..., t-1) directly, and the orbit of a partition
+or a t-set as the orbit of one of its point tuples divided by the block
+reorderings the group realizes on it (`ChainPlan`).  Nothing here walks an
+orbit, so no decision takes a cap.  Verdicts are seed-independent, and all
+reads start from the canonical first object of the relevant kind.
 """
 
 from __future__ import annotations
@@ -22,24 +19,12 @@ import math
 from dataclasses import dataclass, field
 
 from .partitions import (
-    compact_ordered_partition,
-    compact_set_partition,
     count_ordered,
     count_unordered,
-    first_partition_of_type,
     format_int_partition,
     ordered_per_unordered,
 )
-from .perm import (
-    DEFAULT_ORBIT_CAP,
-    compact_set,
-    induced_action,
-    mask_of,
-    orbit,
-    stabilizer_generators,
-)
 
-METHOD_BFS = "orbit-BFS"
 METHOD_SHORTCUT = "order-bound shortcut"
 METHOD_CHAIN = "stabilizer-chain"
 
@@ -77,10 +62,6 @@ class HomogeneityReport:
         payload = {"group": self.group,
                    "queries": [r.as_dict() for r in self.results]}
         return json.dumps(payload, indent=indent)
-
-
-def falling_factorial(n, t):
-    return math.perm(n, t)
 
 
 def _order_refutes(group, expected, query):
@@ -138,29 +119,14 @@ def chain_orbit_size(group, plan):
     return chain.block_orbit_size(plan.sizes, plan.ordered)
 
 
-def _read_or_walk(group, plan, seed, act, expected, query, cap):
-    """Read the orbit off the chain when the reorderings its backtrack can
-    reach, |W|, number no more than the states a walk of a single orbit
-    would visit; walk it otherwise."""
-    if plan.reorderings <= expected:
-        size = chain_orbit_size(group, plan)
-        return QueryResult(query, size == expected, expected, size,
-                           METHOD_CHAIN)
-    return _walk_orbit(group, seed, act, expected, query, cap)
+def _read_chain(group, plan, expected, query):
+    size = chain_orbit_size(group, plan)
+    return QueryResult(query, size == expected, expected, size, METHOD_CHAIN)
 
 
-def _walk_orbit(group, seed, act, expected, query, cap):
-    """The verdict of an orbit walk.  `seed` is in canonical tuple form; the
-    walk runs on its compact encoding under the CompactAction `act`."""
-    start = act.encode(seed, group.degree)
-    size = len(orbit(group, start, act, cap=cap))
-    return QueryResult(query, size == expected, expected, size, METHOD_BFS)
-
-
-def decide_t_homogeneous(group, t, cap=DEFAULT_ORBIT_CAP):
+def decide_t_homogeneous(group, t):
     """t-transitivity, which the chain shows, settles t-homogeneity too;
-    otherwise the orbit of {0, ..., t-1} is read off the chain, its t!
-    reorderings permitting, or walked."""
+    otherwise the orbit of {0, ..., t-1} is read off the chain."""
     n = group.degree
     if not 0 <= t <= n:
         raise ValueError("t must be between 0 and %d, got %d" % (n, t))
@@ -172,22 +138,21 @@ def decide_t_homogeneous(group, t, cap=DEFAULT_ORBIT_CAP):
     refuted = _order_refutes(group, expected, query)
     if refuted:
         return refuted
-    if group.chain().prefix_orbit_size(t) == falling_factorial(n, t):
+    if group.chain().prefix_orbit_size(t) == math.perm(n, t):
         return QueryResult(query, True, expected, expected, METHOD_CHAIN)
-    return _read_or_walk(group, ChainPlan((t,), True), tuple(range(t)),
-                         compact_set, expected, query, cap)
+    return _read_chain(group, ChainPlan((t,), True), expected, query)
 
 
-def decide_t_transitive(group, t, cap=DEFAULT_ORBIT_CAP):
+def decide_t_transitive(group, t):
     """The orbit of the tuple (0, ..., t-1) is read off the stabilizer chain,
-    whose base is 0, 1, 2, ...; no walk, so `cap` does not apply."""
+    whose base starts 0, 1, ..., t-1."""
     n = group.degree
     if not 0 <= t <= n:
         raise ValueError("t must be between 0 and %d, got %d" % (n, t))
     query = "%d-transitive" % t
     if t == 0:
         return QueryResult(query, True, 1, None, METHOD_SHORTCUT)
-    expected = falling_factorial(n, t)
+    expected = math.perm(n, t)
     refuted = _order_refutes(group, expected, query)
     if refuted:
         return refuted
@@ -195,33 +160,31 @@ def decide_t_transitive(group, t, cap=DEFAULT_ORBIT_CAP):
     return QueryResult(query, size == expected, expected, size, METHOD_CHAIN)
 
 
-def decide_lambda_homogeneous(group, lam, cap=DEFAULT_ORBIT_CAP):
+def decide_lambda_homogeneous(group, lam):
     lam = _check_shape(group, lam)
     query = "lambda-homogeneous %s" % format_int_partition(lam)
     if all(k == 1 for k in lam):
         # the partition into singletons is unique, so every group works
         return QueryResult(query, True, 1, None, METHOD_SHORTCUT)
     expected = count_unordered(lam)
-    return _decide_partition(group, lam, False, expected, query, cap)
+    return _decide_partition(group, lam, False, expected, query)
 
 
-def decide_lambda_transitive(group, lam, cap=DEFAULT_ORBIT_CAP):
+def decide_lambda_transitive(group, lam):
     lam = _check_shape(group, lam)
     query = "lambda-transitive %s" % format_int_partition(lam)
     expected = count_ordered(lam)
-    return _decide_partition(group, lam, True, expected, query, cap)
+    return _decide_partition(group, lam, True, expected, query)
 
 
-def _decide_partition(group, lam, ordered, expected, query, cap):
+def _decide_partition(group, lam, ordered, expected, query):
     """The order shortcut, then the orbit of `first_partition_of_type(lam)`
-    through the plan with the fewest reorderings."""
+    read off the chain through the plan with the fewest reorderings."""
     refuted = _order_refutes(group, expected, query)
     if refuted:
         return refuted
     plan = min(chain_plans(lam, ordered), key=lambda p: p.reorderings)
-    act = compact_ordered_partition if ordered else compact_set_partition
-    return _read_or_walk(group, plan, first_partition_of_type(lam), act,
-                         expected, query, cap)
+    return _read_chain(group, plan, expected, query)
 
 
 def _check_shape(group, lam):
@@ -236,30 +199,30 @@ def _check_shape(group, lam):
 
 # boolean fronts
 
-def is_t_homogeneous(group, t, cap=DEFAULT_ORBIT_CAP):
-    return decide_t_homogeneous(group, t, cap=cap).verdict
+def is_t_homogeneous(group, t):
+    return decide_t_homogeneous(group, t).verdict
 
 
-def is_t_transitive(group, t, cap=DEFAULT_ORBIT_CAP):
-    return decide_t_transitive(group, t, cap=cap).verdict
+def is_t_transitive(group, t):
+    return decide_t_transitive(group, t).verdict
 
 
-def is_lambda_homogeneous(group, lam, cap=DEFAULT_ORBIT_CAP):
-    return decide_lambda_homogeneous(group, lam, cap=cap).verdict
+def is_lambda_homogeneous(group, lam):
+    return decide_lambda_homogeneous(group, lam).verdict
 
 
-def is_lambda_transitive(group, lam, cap=DEFAULT_ORBIT_CAP):
-    return decide_lambda_transitive(group, lam, cap=cap).verdict
+def is_lambda_transitive(group, lam):
+    return decide_lambda_transitive(group, lam).verdict
 
 
-def is_set_transitive(group, cap=DEFAULT_ORBIT_CAP):
+def is_set_transitive(group):
     """Transitive on t-sets for every t; t up to n/2 suffices."""
     n = group.degree
-    return all(is_t_homogeneous(group, t, cap=cap)
+    return all(is_t_homogeneous(group, t)
                for t in range(1, n // 2 + 1))
 
 
-def exact_homogeneity_degree(group, cap=DEFAULT_ORBIT_CAP):
+def exact_homogeneity_degree(group):
     """Largest t <= n/2 such that the group is s-homogeneous for all s <= t.
 
     Homogeneity at t implies it at t-1 on this side of n/2, so the answer is
@@ -268,35 +231,38 @@ def exact_homogeneity_degree(group, cap=DEFAULT_ORBIT_CAP):
     n = group.degree
     best = 0
     for t in range(1, n // 2 + 1):
-        if not is_t_homogeneous(group, t, cap=cap):
+        if not is_t_homogeneous(group, t):
             break
         best = t
     return best
 
 
-def is_standard_pair(group, lam, cap=DEFAULT_ORBIT_CAP):
+def is_standard_pair(group, lam):
     """Largest part n-t with t <= n/2, group t-homogeneous, and the setwise
     stabilizer of a t-set acting on it transitively on ordered partitions of
-    the remaining shape (the shape with its largest part removed)."""
+    the remaining shape (the shape with its largest part removed).
+
+    The last two conjuncts together are lambda-transitivity.  Let T be a
+    t-set and (B1, ..., Bk) an ordered partition of T of the remaining
+    shape.  The orbit of the ordered partition (complement of T, B1, ...,
+    Bk) has |T^G| * |(B1, ..., Bk)^(G_T)| elements, by orbit-stabilizer
+    through the stabilizer G_T of T, which is the stabilizer of its
+    complement.  The factors are at most C(n, t) and the number of ordered
+    partitions of T of that shape, whose product is count_ordered(lam), so
+    the orbit reaches count_ordered(lam) exactly when both factors are full.
+    """
     lam = _check_shape(group, lam)
     n = group.degree
     if lam == (n,):
         raise ValueError("the one-block partition is excluded here")
     t = n - lam[0]
-    if 2 * t > n:
-        return False
-    if not is_t_homogeneous(group, t, cap=cap):
-        return False
-    rest = lam[1:]
-    stab = stabilizer_generators(group, mask_of(range(t)), compact_set, cap=cap)
-    inside = induced_action(stab, list(range(t)))
-    return is_lambda_transitive(inside, rest, cap=cap)
+    return 2 * t <= n and is_lambda_transitive(group, lam)
 
 
-def lambda_behavior(group, lam, cap=DEFAULT_ORBIT_CAP):
+def lambda_behavior(group, lam):
     """One of 'transitive', 'homogeneous-only', 'neither'."""
-    if is_lambda_transitive(group, lam, cap=cap):
+    if is_lambda_transitive(group, lam):
         return "transitive"
-    if is_lambda_homogeneous(group, lam, cap=cap):
+    if is_lambda_homogeneous(group, lam):
         return "homogeneous-only"
     return "neither"

@@ -8,6 +8,11 @@ Canonical forms are fixed once and used everywhere:
 - an ordered set partition keeps its block order, but block sizes must be
   non-increasing so the shape reads off directly
 
+The group actions on set partitions, `act_set_partition` and
+`act_ordered_partition`, work on these canonical forms; there is no compact
+encoding of partitions, since the decisions read partition orbits off the
+stabilizer chain instead of walking them.
+
 Text formats (all 1-based at the boundary): an integer partition is written
 "3,2,1"; a set partition "{1,2|3,4|5}"; a map row "1,1,3,4,5" belongs to the
 transformation layer but reuses the same comma-separated style.
@@ -18,14 +23,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-
-from .perm import (
-    CompactAction,
-    encode_points,
-    mask_of,
-    point_steps,
-    points_of,
-)
 
 
 def parse_int_partition(text, n=None):
@@ -128,44 +125,6 @@ def act_set_partition(blocks, images):
 def act_ordered_partition(blocks, images):
     """Right action on an ordered set partition (block order preserved)."""
     return tuple(tuple(sorted(images[x] for x in b)) for b in blocks)
-
-
-def _set_partition_steps(group):
-    return [lambda x, f=f: tuple(sorted(map(f, x)))
-            for f in group.mask_maps()]
-
-
-def _decode_set_partition(masks, n):
-    covered = sum(masks)    # the blocks are disjoint
-    blocks = [points_of(m) for m in masks]
-    blocks += [(x,) for x in range(n) if not covered >> x & 1]
-    return canon_set_partition(blocks)
-
-
-# An unordered set partition as the sorted tuple of the masks of its blocks
-# of size at least 2; the singletons are the points no mask covers.
-compact_set_partition = CompactAction(
-    encode=lambda blocks, n: tuple(sorted(mask_of(b) for b in blocks
-                                          if len(b) > 1)),
-    decode=_decode_set_partition,
-    steps=_set_partition_steps)
-
-
-def _ordered_partition_steps(group):
-    return [lambda x, f=f, g=g: (tuple(map(f, x[0])), g(x[1]))
-            for f, g in zip(group.mask_maps(), point_steps(group.raw_gens()))]
-
-
-# An ordered set partition as the pair (masks of its blocks of size at least
-# 2 in block order, its trailing singleton points in order); block sizes are
-# non-increasing, so the singletons always come last.
-compact_ordered_partition = CompactAction(
-    encode=lambda blocks, n: (
-        tuple(mask_of(b) for b in blocks if len(b) > 1),
-        encode_points([b[0] for b in blocks if len(b) == 1], n)),
-    decode=lambda state, n: (tuple(points_of(m) for m in state[0])
-                             + tuple((x,) for x in state[1])),
-    steps=_ordered_partition_steps)
 
 
 def first_partition_of_type(shape, n=None):

@@ -9,11 +9,14 @@ Conventions used throughout the package:
   enumeration, semigroup closures) runs through `walk`, which keeps a
   visited-set on canonical forms and refuses to return a truncated result:
   exceeding the cap raises
-- the decision layer walks compact states (see CompactAction): a k-set is an
-  int bitmask with bit p set for point p, and a tuple of points is a bytes
-  object up to degree 256 (a `WideRow` above), mapped by `translate`; the
-  image rows of transformations and of enumerated group elements are walked
-  in the same encoding
+- the decisions walk nothing: they read orbit sizes off stabilizer chains
+  (`StabilizerChain.prefix_orbit_size`, `block_orbit_size`)
+- `orbit`, `orbit_transversal` and `stabilizer_generators` also take compact
+  states (see CompactAction): a k-set is an int bitmask with bit p set for
+  point p, and a tuple of points is a bytes object up to degree 256 (a
+  `WideRow` above), mapped by `translate`; the image rows of
+  transformations and of enumerated group elements are walked in the same
+  encoding
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from .partitions import (
     format_int_partition,
     integer_partitions,
 )
-from .perm import DEFAULT_ORBIT_CAP
 from .tsemi import Transformation
 
 WITNESS_RANK = "rank-homogeneity"
@@ -78,28 +77,28 @@ def _shape_from(lam, degree):
     return shape
 
 
-def is_sn_pair(lam, group, cap=DEFAULT_ORBIT_CAP):
+def is_sn_pair(lam, group):
     """The two-orbit test: rank-homogeneous and kernel-type-homogeneous."""
     shape = _shape_from(lam, group.degree)
     r = len(shape)
-    rank_q = decide_t_homogeneous(group, r, cap=cap)
+    rank_q = decide_t_homogeneous(group, r)
     if not rank_q.verdict:
         return PairVerdict(shape, r, False, WITNESS_RANK, rank_q, None)
-    lam_q = decide_lambda_homogeneous(group, shape, cap=cap)
+    lam_q = decide_lambda_homogeneous(group, shape)
     witness = None if lam_q.verdict else WITNESS_PARTITION
     return PairVerdict(shape, r, lam_q.verdict, witness, rank_q, lam_q)
 
 
-def classify_all(group, cap=DEFAULT_ORBIT_CAP, with_clauses=True):
+def classify_all(group, with_clauses=True):
     """One verdict per kernel type of the degree, in fixed enumeration order."""
-    facts = symbolic_facts(group, cap=cap) if with_clauses else None
+    facts = symbolic_facts(group) if with_clauses else None
     out = []
     for shape in integer_partitions(group.degree):
         if shape[0] == 1:
             continue
-        v = is_sn_pair(shape, group, cap=cap)
+        v = is_sn_pair(shape, group)
         if facts is not None:
-            v.clause = symbolic_clause(shape, group, facts, cap=cap)
+            v.clause = symbolic_clause(shape, group, facts)
         out.append(v)
     return out
 
@@ -123,7 +122,7 @@ def _is_even(perm):
     return (len(images) - cycles) % 2 == 0
 
 
-def symbolic_facts(group, cap=DEFAULT_ORBIT_CAP):
+def symbolic_facts(group):
     """Everything the clause dispatch needs, computed once per group."""
     n = group.degree
     order = group.order()
@@ -134,9 +133,9 @@ def symbolic_facts(group, cap=DEFAULT_ORBIT_CAP):
         "degree": n,
         "order": order,
         "symmetric_or_alternating": sym_or_alt,
-        "homogeneous": {t: is_t_homogeneous(group, t, cap=cap)
+        "homogeneous": {t: is_t_homogeneous(group, t)
                         for t in range(1, n)},
-        "transitive": {t: is_t_transitive(group, t, cap=cap)
+        "transitive": {t: is_t_transitive(group, t)
                        for t in range(1, min(n, 6))},
     }
 
@@ -163,7 +162,7 @@ INCLUDED_DEGREE9_ORDER504 = {
 }
 
 
-def symbolic_clause(lam, group, facts=None, cap=DEFAULT_ORBIT_CAP):
+def symbolic_clause(lam, group, facts=None):
     """First matching clause id of the case analysis, or "none".
 
     The clause list is a disjunction, not a partition, so overlaps are fine;
@@ -171,7 +170,7 @@ def symbolic_clause(lam, group, facts=None, cap=DEFAULT_ORBIT_CAP):
     """
     shape = _shape_from(lam, group.degree)
     if facts is None:
-        facts = symbolic_facts(group, cap=cap)
+        facts = symbolic_facts(group)
     n = facts["degree"]
     r = len(shape)
     hom = facts["homogeneous"]
@@ -192,7 +191,7 @@ def symbolic_clause(lam, group, facts=None, cap=DEFAULT_ORBIT_CAP):
         return "5"
     t = n - shape[0]
     if (2 * t < n and hom[t] and hom[r]
-            and is_standard_pair(group, shape, cap=cap)):
+            and is_standard_pair(group, shape)):
         # r-homogeneity likewise restored here
         return "6"
     order = facts["order"]
@@ -254,7 +253,7 @@ def load_fixture_tables():
     return parse_fixture_text(text)
 
 
-def verify_fixtures(tables=None, cap=DEFAULT_ORBIT_CAP):
+def verify_fixtures(tables=None):
     """Recompute every fixture row; report mismatches rather than raising."""
     from .catalog import build_group
 
@@ -275,7 +274,7 @@ def verify_fixtures(tables=None, cap=DEFAULT_ORBIT_CAP):
         covered = set()
         for shape, expected, raw in table.rows:
             try:
-                v = is_sn_pair(shape, group, cap=cap)
+                v = is_sn_pair(shape, group)
             except ValueError as err:
                 entry["mismatches"].append({
                     "kind": "invalid-row", "lambda": raw,

@@ -1,0 +1,45 @@
+"""Plain-walk references that tests compare the chain-read decisions with.
+
+`walked_standard_pair` decides standardness from its definition, without
+the stabilizer-chain reads of `parthom.homogeneity`: it walks the orbit of
+a t-set, builds the t-set's setwise stabilizer, restricts it to the t-set,
+and walks the orbit of an ordered partition of the rest of the shape under
+the public `act_ordered_partition`.
+"""
+
+import math
+from functools import lru_cache
+
+from parthom.partitions import (
+    act_ordered_partition,
+    count_ordered,
+    first_partition_of_type,
+)
+from parthom.perm import act_set, induced_action, orbit, stabilizer_generators
+
+
+@lru_cache(maxsize=None)
+def _inside(group, t):
+    """The stabilizer of {0, ..., t-1} acting on those points, or None when
+    the group is not t-homogeneous."""
+    seed = tuple(range(t))
+    if len(orbit(group, seed, act_set)) != math.comb(group.degree, t):
+        return None
+    stab = stabilizer_generators(group, seed, act_set)
+    return induced_action(stab, list(seed))
+
+
+def walked_standard_pair(group, lam):
+    """Largest part n-t with t <= n/2, group t-homogeneous, and the setwise
+    stabilizer of a t-set acting on it transitively on ordered partitions of
+    the remaining shape, each conjunct found by a walk."""
+    lam = tuple(sorted(lam, reverse=True))
+    t = group.degree - lam[0]
+    if 2 * t > group.degree:
+        return False
+    inside = _inside(group, t)
+    if inside is None:
+        return False
+    rest = lam[1:]
+    walked = orbit(inside, first_partition_of_type(rest), act_ordered_partition)
+    return len(walked) == count_ordered(rest)

@@ -10,8 +10,9 @@ against the orbit-stabilizer count, including the case where one sifting
 pass over the Schreier generators falls short and Schreier-Sims completes
 the chain.  Partition and t-set orbits read off the chain, a tuple orbit
 divided by the block reorderings the group realizes, are checked against
-the walked orbits under every plan, the reversed chain's included, and on
-two m:24 rows that no walk reaches, against a tower of set stabilizers.
+the orbits walked under the public partition and set actions, under every
+plan, the reversed chain's included, and on two m:24 rows that no walk
+reaches, against a tower of set stabilizers.
 """
 
 import itertools
@@ -31,8 +32,8 @@ from parthom.homogeneity import (
     decide_t_transitive,
 )
 from parthom.partitions import (
-    compact_ordered_partition,
-    compact_set_partition,
+    act_ordered_partition,
+    act_set_partition,
     first_partition_of_type,
     integer_partitions,
 )
@@ -244,15 +245,16 @@ def test_stabilizer_falls_back_to_schreier_sims(gens, monkeypatch):
 # -- partition and t-set orbits read off the chain ----------------------------
 
 def check_block_orbit_reads(group):
-    """Every plan's chain read against the walked orbit of its seed, for
-    every shape, unordered and ordered, and every t-set seed; the plans are
-    called directly, whatever the decisions would pick."""
+    """Every plan's chain read against the orbit of its seed walked under the
+    public action, for every shape, unordered and ordered, and every t-set
+    seed; the plans are called directly, whatever the decisions would
+    pick."""
     n = group.degree
     for lam in integer_partitions(n):
         seed = first_partition_of_type(lam)
-        for ordered, act in ((False, compact_set_partition),
-                             (True, compact_ordered_partition)):
-            walked = len(orbit(group, act.encode(seed, n), act))
+        for ordered, act in ((False, act_set_partition),
+                             (True, act_ordered_partition)):
+            walked = len(orbit(group, seed, act))
             for plan in chain_plans(lam, ordered):
                 assert chain_orbit_size(group, plan) == walked, (lam, plan)
     for t in range(1, n):

@@ -75,10 +75,9 @@ def test_check_homog(capsys):
 
 def test_check_homog_m24_five_tuples_from_the_chain(capsys):
     # the orbit of 5,100,480 tuples is read off the chain, and t-homogeneity
-    # follows from t-transitivity; --cap bounds walks, so a cap of 10 states
-    # changes nothing here
+    # follows from t-transitivity
     code, payload, _ = invoke_json(capsys, "check-homog", "--group", "m:24",
-                                   "--t", "5", "--cap", "10")
+                                   "--t", "5")
     assert code == 0
     trans = payload["transitive"]
     assert trans["verdict"] is True
@@ -245,6 +244,17 @@ def test_every_verb_has_json_flag():
     for name, sub in subparsers.choices.items():
         flags = {s for a in sub._actions for s in a.option_strings}
         assert "--json" in flags, name
+
+
+def test_cap_only_on_the_verbs_that_walk():
+    # the decisions read every orbit off the stabilizer chain, so only the
+    # point orbit and the semigroup closures have a walk to bound
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    capped = {name for name, sub in subparsers.choices.items()
+              if any("--cap" in a.option_strings for a in sub._actions)}
+    assert capped == {"orbit", "oracle-semigroup"}
 
 
 def test_console_entry_point():

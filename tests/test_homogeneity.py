@@ -1,6 +1,7 @@
 """Homogeneity/transitivity verdicts against oracles and cross-identities."""
 
 import json
+from math import perm
 
 import pytest
 
@@ -23,7 +24,6 @@ from parthom.homogeneity import (
     decide_t_homogeneous,
     decide_t_transitive,
     exact_homogeneity_degree,
-    falling_factorial,
     is_lambda_homogeneous,
     is_lambda_transitive,
     is_set_transitive,
@@ -42,6 +42,7 @@ from parthom.partitions import (
     iter_ordered_partitions,
 )
 from parthom.perm import enumerate_elements
+from reference import walked_standard_pair
 
 
 # -- t-homogeneity and t-transitivity -----------------------------------------
@@ -103,8 +104,8 @@ def test_pgl28_facts():
 
 
 def test_pgammal2_32_facts():
-    # 4-homogeneous by a walk over all C(33, 4) 4-sets; 4-transitivity is
-    # refuted by the order alone
+    # 4-homogeneous: one orbit of all C(33, 4) 4-sets, read off the chain;
+    # 4-transitivity is refuted by the order alone
     g = pgammal2(32)
     assert g.order() == 163680
     hom = decide_t_homogeneous(g, 4)
@@ -123,7 +124,7 @@ def test_shortcut_kicks_in_for_big_t_transitive():
     result = decide_t_transitive(m12, 6)
     assert result.method == "order-bound shortcut"
     assert not result.verdict
-    assert falling_factorial(12, 6) > m12.order()
+    assert perm(12, 6) > m12.order()
 
 
 # -- lambda verdicts -----------------------------------------------------------
@@ -176,12 +177,17 @@ def test_fix_point_extension_rows():
 
 # -- standard pairs ------------------------------------------------------------
 
+def check_standard_pair(group, lam, expected):
+    assert is_standard_pair(group, lam) == expected, lam
+    assert walked_standard_pair(group, lam) == expected, lam
+
+
 def test_standard_pair_examples():
-    assert is_standard_pair(symmetric(6), (5, 1))
-    assert is_standard_pair(pgammal2(8), (5, 2, 2))
-    assert not is_standard_pair(pgl2(8), (5, 1, 1, 1, 1))
-    assert is_standard_pair(pgl2(8), (5, 4))
-    assert is_standard_pair(pgl2(8), (5, 3, 1))
+    check_standard_pair(symmetric(6), (5, 1), True)
+    check_standard_pair(pgammal2(8), (5, 2, 2), True)
+    check_standard_pair(pgl2(8), (5, 1, 1, 1, 1), False)
+    check_standard_pair(pgl2(8), (5, 4), True)
+    check_standard_pair(pgl2(8), (5, 3, 1), True)
     with pytest.raises(ValueError):
         is_standard_pair(symmetric(5), (5,))
 
@@ -189,14 +195,32 @@ def test_standard_pair_examples():
 def test_standard_pair_boundary_allows_half():
     # largest part exactly n/2: PGL(2,5) is 3-transitive on 6 points, the
     # 3-set stabilizer acts fully inside the set
-    assert is_standard_pair(pgl2(5), (3, 3))
-    assert is_standard_pair(pgl2(5), (3, 2, 1))
-    assert is_standard_pair(pgl2(5), (3, 1, 1, 1))
-    assert not is_standard_pair(psl2(5), (3, 3))
+    check_standard_pair(pgl2(5), (3, 3), True)
+    check_standard_pair(pgl2(5), (3, 2, 1), True)
+    check_standard_pair(pgl2(5), (3, 1, 1, 1), True)
+    check_standard_pair(psl2(5), (3, 3), False)
 
 
 def test_standard_pair_fails_when_big_part_small():
-    assert not is_standard_pair(symmetric(6), (2, 2, 1, 1))   # t = 4 > 6/2
+    check_standard_pair(symmetric(6), (2, 2, 1, 1), False)   # t = 4 > 6/2
+
+
+@pytest.mark.parametrize("entry", catalog_entries(12), ids=lambda e: e.spec)
+def test_standard_pair_matches_the_walked_definition(entry):
+    group = entry.group
+    for lam in integer_partitions(group.degree)[1:]:   # all but (n,)
+        assert is_standard_pair(group, lam) == \
+            walked_standard_pair(group, lam), lam
+
+
+@pytest.mark.parametrize("spec, lam, expected", [
+    ("m:23", (19, 2, 2), True),
+    ("m:24", (20, 2, 2), True),
+    ("m:24", (20, 1, 1, 1, 1), True),
+])
+def test_standard_pair_matches_the_walked_definition_on_mathieu(spec, lam,
+                                                                 expected):
+    check_standard_pair(build_group(spec), lam, expected)
 
 
 # -- cross identities over the small catalog -----------------------------------
@@ -281,8 +305,6 @@ def test_report_json_shape():
     assert len(payload["queries"]) == 2
     for q in payload["queries"]:
         assert set(q) == {"query", "verdict", "expected", "orbit_size", "method"}
-        if q["method"] == "orbit-BFS":
-            assert q["verdict"] == (q["orbit_size"] == q["expected"])
 
 
 def test_bad_inputs():

@@ -8,9 +8,11 @@ reference tables instead of hiding them.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
+from parthom import homogeneity
 from parthom.catalog import build_group, catalog_entries
 from parthom.partitions import integer_partitions
 from parthom.snpairs import (
@@ -267,6 +269,25 @@ def test_clause_dispatch_matches_computation_catalog_to_degree_nine():
 def test_clause_dispatch_matches_computation_catalog_to_degree_twelve():
     entries = [e for e in catalog_entries(max_degree=12) if e.degree > 9]
     catalog_clause_agreement(entries)
+
+
+def test_no_decision_walks(monkeypatch):
+    # every QueryResult built while classifying the catalog to degree 12,
+    # clauses and standard pairs included, and while verifying the
+    # fixtures: each orbit size is read off a chain or not needed at all
+    methods = Counter()
+
+    class Recorded(homogeneity.QueryResult):
+        def __init__(self, *args):
+            super().__init__(*args)
+            methods[self.method] += 1
+
+    monkeypatch.setattr(homogeneity, "QueryResult", Recorded)
+    for entry in catalog_entries(max_degree=12):
+        classify_all(entry.group)
+    verify_fixtures()
+    assert set(methods) == {homogeneity.METHOD_SHORTCUT,
+                            homogeneity.METHOD_CHAIN}, methods
 
 
 # ---------------------------------------------------------------------------
