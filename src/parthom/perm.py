@@ -11,12 +11,14 @@ Conventions used throughout the package:
   exceeding the cap raises
 - the decisions walk nothing: they read orbit sizes off stabilizer chains
   (`StabilizerChain.prefix_orbit_size`, `block_orbit_size`)
-- `orbit`, `orbit_transversal` and `stabilizer_generators` also take compact
-  states (see CompactAction): a k-set is an int bitmask with bit p set for
-  point p, and a tuple of points is a bytes object up to degree 256 (a
-  `WideRow` above), mapped by `translate`; the image rows of
-  transformations and of enumerated group elements are walked in the same
-  encoding
+- the image rows of transformations and of enumerated group elements are
+  walked as bytes objects up to degree 256 (a `WideRow` above), mapped by
+  `translate`
+- `orbit`, `orbit_transversal` and `stabilizer_generators` also accept a
+  CompactAction (k-sets as int bitmasks, tuples of points as bytes), but no
+  caller in the package passes one any more: the `orbit` verb and the
+  chains walk points, and the tests walk the compact states only against
+  the public actions
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ def act_set(xs, images):
 
 @dataclass(frozen=True)
 class CompactAction:
-    """An action on compact states, for long orbit walks.
+    """An action on compact states: `compact_set` and `compact_tuple`.
 
     `steps(group)` returns one map state -> image state per generator, in
     generator order, and the walks apply those.  `encode(obj, degree)` and

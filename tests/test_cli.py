@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from parthom.cli import build_parser, run
+from parthom.homogeneity import METHOD_CHAIN, METHOD_SHORTCUT
 
 
 def invoke(capsys, *argv):
@@ -156,6 +157,55 @@ def test_classify_no_clauses(capsys):
     code, out, _ = invoke(capsys, "classify", "--group", "c:4",
                           "--no-clauses")
     assert code == 0 and "clause=" not in out
+
+
+def decision_nodes(node):
+    """Every query result in a JSON payload: the objects with a method."""
+    if isinstance(node, dict):
+        if "method" in node:
+            yield node
+        for value in node.values():
+            yield from decision_nodes(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from decision_nodes(value)
+
+
+def _ones(head, count):
+    return head + ",1" * count
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-homog", "--group", "m:24", "--t", "4"],
+    ["check-homog", "--group", "m:23", "--t", "4"],
+    ["check-homog", "--group", "pgammal2:32", "--t", "4"],
+    ["check-pair", "--group", "m:24", "--lambda", "20,1,1,1,1"],
+    ["check-pair", "--group", "m:23", "--lambda", "19,2,2", "--clause"],
+    ["check-lambda", "--group", "m:24", "--lambda", _ones("2,2", 20)],
+    ["check-lambda", "--group", "m:24", "--lambda", _ones("4", 20)],
+    ["check-lambda", "--group", "m:24", "--lambda", "12,12"],
+    ["classify", "--group", "m:11"],
+    ["classify", "--group", "m:12"],
+    ["classify", "--group", "pgl2:8"],
+    ["classify", "--group", "s:6"],
+    # chain reads of orbits short of the count: false verdicts
+    ["classify", "--group", "d:5"],
+    ["classify", "--group", "psl2:9"],
+], ids=" ".join)
+def test_every_reported_orbit_size_backs_its_verdict(capsys, argv):
+    # a chain result is true exactly when its orbit has the expected size;
+    # a shortcut reads no orbit and is true only for a count of 1
+    code, payload, _ = invoke_json(capsys, *argv)
+    assert code == 0
+    nodes = list(decision_nodes(payload))
+    assert nodes
+    for q in nodes:
+        if q["method"] == METHOD_CHAIN:
+            assert q["verdict"] == (q["orbit_size"] == q["expected"]), q
+        else:
+            assert q["method"] == METHOD_SHORTCUT, q
+            assert q["orbit_size"] is None, q
+            assert q["verdict"] == (q["expected"] == 1), q
 
 
 # ---------------------------------------------------------------------------

@@ -274,13 +274,18 @@ def test_clause_dispatch_matches_computation_catalog_to_degree_twelve():
 def test_no_decision_walks(monkeypatch):
     # every QueryResult built while classifying the catalog to degree 12,
     # clauses and standard pairs included, and while verifying the
-    # fixtures: each orbit size is read off a chain or not needed at all
+    # fixtures: each orbit size is read off a chain or not needed at all,
+    # and a chain result is true exactly when its orbit is full
     methods = Counter()
+    unbacked = []
 
     class Recorded(homogeneity.QueryResult):
         def __init__(self, *args):
             super().__init__(*args)
             methods[self.method] += 1
+            if self.method == homogeneity.METHOD_CHAIN and \
+                    self.verdict != (self.orbit_size == self.expected):
+                unbacked.append(self)
 
     monkeypatch.setattr(homogeneity, "QueryResult", Recorded)
     for entry in catalog_entries(max_degree=12):
@@ -288,6 +293,7 @@ def test_no_decision_walks(monkeypatch):
     verify_fixtures()
     assert set(methods) == {homogeneity.METHOD_SHORTCUT,
                             homogeneity.METHOD_CHAIN}, methods
+    assert unbacked == []
 
 
 # ---------------------------------------------------------------------------
