@@ -186,8 +186,21 @@ def _add_group(parser):
                              "file:PATH, fix+SPEC")
 
 
+def _cap(text):
+    """A --cap value: an integer of at least 1, since every walk holds its
+    seed."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) \
+            from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % cap)
+    return cap
+
+
 def _add_cap(parser, default):
-    parser.add_argument("--cap", type=int, default=default,
+    parser.add_argument("--cap", type=_cap, default=default,
                         help="orbit/closure size cap (default %d)" % default)
 
 

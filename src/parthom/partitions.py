@@ -9,9 +9,9 @@ Canonical forms are fixed once and used everywhere:
   non-increasing so the shape reads off directly
 
 The group actions on set partitions, `act_set_partition` and
-`act_ordered_partition`, work on these canonical forms; there is no compact
-encoding of partitions, since the decisions read partition orbits off the
-stabilizer chain instead of walking them.
+`act_ordered_partition`, work on these canonical forms.  The decisions walk
+no partition orbits (they read them off the stabilizer chain); the actions
+are there for `perm.orbit` walks, which the tests check those reads with.
 
 Text formats (all 1-based at the boundary): an integer partition is written
 "3,2,1"; a set partition "{1,2|3,4|5}"; a map row "1,1,3,4,5" belongs to the
@@ -143,22 +143,13 @@ def first_partition_of_type(shape, n=None):
 # counting
 
 def count_unordered(shape):
-    """Number of set partitions of shape `shape` (unordered blocks).
-
-    n! / (prod_k (k!)^{m_k} * m_k!)  where m_k = multiplicity of part k.
-    Exact integers throughout.
-    """
-    n = sum(shape)
-    denom = 1
-    mult = {}
-    for k in shape:
-        mult[k] = mult.get(k, 0) + 1
-    for k, m in mult.items():
-        denom *= math.factorial(k) ** m * math.factorial(m)
-    num = math.factorial(n)
-    if num % denom != 0:
+    """Number of set partitions of shape `shape` (unordered blocks): the
+    ordered ones divided by the orderings of equal-size blocks, exactly."""
+    ordered = count_ordered(shape)
+    per = ordered_per_unordered(shape)
+    if ordered % per != 0:
         raise ArithmeticError("count_unordered: non-integer result")
-    return num // denom
+    return ordered // per
 
 
 def count_ordered(shape):

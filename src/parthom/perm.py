@@ -14,18 +14,15 @@ Conventions used throughout the package:
 - the image rows of transformations and of enumerated group elements are
   walked as bytes objects up to degree 256 (a `WideRow` above), mapped by
   `translate`
-- `orbit`, `orbit_transversal` and `stabilizer_generators` also accept a
-  CompactAction (k-sets as int bitmasks, tuples of points as bytes), but no
-  caller in the package passes one any more: the `orbit` verb and the
-  chains walk points, and the tests walk the compact states only against
-  the public actions
+- `orbit`, `orbit_transversal`, `stabilizer_generators` and `orbit_count`
+  take a public action (`act_point`, `act_set`, `act_tuple`, the partition
+  actions): a function `act(obj, images)` on canonical tuple forms
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 DEFAULT_ORBIT_CAP = 10**7
@@ -200,74 +197,7 @@ def act_set(xs, images):
 
 
 # ---------------------------------------------------------------------------
-# compact actions
-
-
-@dataclass(frozen=True)
-class CompactAction:
-    """An action on compact states: `compact_set` and `compact_tuple`.
-
-    `steps(group)` returns one map state -> image state per generator, in
-    generator order, and the walks apply those.  `encode(obj, degree)` and
-    `decode(state, degree)` convert from and to the canonical tuple form
-    that the matching public action (`act_set`, ...) works on.
-    """
-
-    encode: Callable
-    decode: Callable
-    steps: Callable
-
-
-def mask_of(points):
-    """Bitmask of a set of points: bit p is set for each point p."""
-    mask = 0
-    for p in points:
-        mask |= 1 << p
-    return mask
-
-
-def points_of(mask):
-    """The points of a bitmask, as a sorted tuple."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def mask_map(images):
-    """The map on bitmasks that the permutation `images` induces.
-
-    One 256-entry table per 8 points holds the image mask of every subset
-    of those points, so a mask maps by one lookup per byte.
-    """
-    n = len(images)
-    tables = []
-    for base in range(0, n, 8):
-        table = [0] * 256
-        for v in range(1, 256):
-            p = base + (v & -v).bit_length() - 1
-            table[v] = table[v & (v - 1)] | (1 << images[p] if p < n else 0)
-        tables.append(table)
-    # unrolled up to degree 24, where the lookups run twice as fast as the
-    # loop below
-    if len(tables) == 1:
-        return tables[0].__getitem__
-    if len(tables) == 2:
-        t0, t1 = tables
-        return lambda m: t0[m & 255] | t1[m >> 8]
-    if len(tables) == 3:
-        t0, t1, t2 = tables
-        return lambda m: t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16]
-
-    def step(m):
-        out = 0
-        for table in tables:
-            out |= table[m & 255]
-            m >>= 8
-        return out
-    return step
+# rows of points
 
 
 class WideRow(tuple):
@@ -302,17 +232,6 @@ def point_steps(gens):
     half of an `operator.methodcaller` call on CPython 3.11.)"""
     return [lambda xs, table=point_table(images): xs.translate(table)
             for images in gens]
-
-
-compact_set = CompactAction(
-    encode=lambda points, degree: mask_of(points),
-    decode=lambda mask, degree: points_of(mask),
-    steps=lambda group: group.mask_maps())
-
-compact_tuple = CompactAction(
-    encode=encode_points,
-    decode=lambda xs, degree: tuple(xs),
-    steps=lambda group: point_steps(group.raw_gens()))
 
 
 # ---------------------------------------------------------------------------
@@ -561,17 +480,10 @@ class PermGroup:
         self.name = name or ("group of degree %d" % degree)
         self._chain = None
         self._reversed_chain = None
-        self._mask_maps = None
 
     def raw_gens(self):
         """Image tuples of the generators, for tight orbit loops."""
         return [g.images for g in self.generators]
-
-    def mask_maps(self):
-        """One `mask_map` per generator, built on first use."""
-        if self._mask_maps is None:
-            self._mask_maps = [mask_map(g.images) for g in self.generators]
-        return self._mask_maps
 
     def chain(self):
         if self._chain is None:
@@ -626,10 +538,8 @@ def walk(seeds, steps, cap, error):
 
 
 def _action_steps(group, act):
-    """A CompactAction's steps, or `act(obj, images)` for each generator
-    (for `act_point`, the image tuple's own lookup)."""
-    if isinstance(act, CompactAction):
-        return act.steps(group)
+    """`act(obj, images)` for each generator (for `act_point`, the image
+    tuple's own lookup)."""
     if act is act_point:
         return [images.__getitem__ for images in group.raw_gens()]
     return [lambda x, images=images: act(x, images)
@@ -647,18 +557,17 @@ def enumerate_elements(group, cap=DEFAULT_ENUM_CAP):
 def orbit(group, seed, act, cap=DEFAULT_ORBIT_CAP):
     """Breadth-first orbit of seed under the group, as a set of canonical objects.
 
-    `act` is either a CompactAction, whose steps map the states, or a
-    function where `act(obj, images)` returns the canonical form of obj moved
-    by the permutation with the given image tuple.  Exceeding `cap` raises
+    `act(obj, images)` returns the canonical form of obj moved by the
+    permutation with the given image tuple.  Exceeding `cap` raises
     OrbitCapExceeded rather than returning a truncated orbit.
     """
     return walk((seed,), _action_steps(group, act), cap, OrbitCapExceeded)
 
 
 def orbit_transversal(group, seed, act, cap=DEFAULT_ORBIT_CAP):
-    """Schreier tree of the orbit of seed, for either kind of `act` that
-    `orbit` takes: each state maps to the product of generators along the
-    first walked path to it, and the dict lists the states in walk order."""
+    """Schreier tree of the orbit of seed under the action `act`, as in
+    `orbit`: each state maps to the product of generators along the first
+    walked path to it, and the dict lists the states in walk order."""
     tree = {seed: Permutation.identity(group.degree)}
 
     def edge(step, g):
@@ -677,8 +586,8 @@ def orbit_transversal(group, seed, act, cap=DEFAULT_ORBIT_CAP):
 def stabilizer_generators(group, seed, act, cap=DEFAULT_ORBIT_CAP):
     """Setwise/pointwise stabilizer of seed, built to its known order.
 
-    Works for either kind of action `orbit` takes.  The Schreier tree of
-    seed gives the stabilizer's order |G| / |orbit|.  The Schreier
+    `act` is a public action, as in `orbit`.  The Schreier tree of seed
+    gives the stabilizer's order |G| / |orbit|.  The Schreier
     generators u_x s u_{xs}^-1, in tree order, are sifted into a chain with
     base 0, 1, ... until the product of its basic orbit lengths reaches that
     order; a partial chain whose product equals the group's order is

@@ -172,18 +172,10 @@ class TransSemigroup:
     def sorted_texts(self):
         return sorted(t.text() for t in self.elements)
 
-    def is_closed(self, limit=10**4):
-        """Full pairwise verification when small, first-k pairs otherwise."""
-        els = sorted(self.elements, key=lambda t: t.row)
-        pairs = 0
-        for x in els:
-            for y in els:
-                if (x * y) not in self.elements:
-                    return False
-                pairs += 1
-                if len(els) ** 2 > limit and pairs >= limit:
-                    return True
-        return True
+    def is_closed(self):
+        """Whether the product of every ordered pair of elements is one."""
+        return all(x * y in self.elements
+                   for x in self.elements for y in self.elements)
 
 
 def closure(gens, cap=DEFAULT_SEMIGROUP_CAP, description=""):

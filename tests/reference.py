@@ -1,5 +1,7 @@
 """Plain-walk references that tests compare the chain-read decisions with.
 
+`tuple_orbit` walks the orbit of the tuple (0, ..., t-1) as `bytes` rows
+through `walk`, the way element enumeration walks its rows.
 `walked_standard_pair` decides standardness from its definition, without
 the stabilizer-chain reads of `parthom.homogeneity`: it walks the orbit of
 a t-set, builds the t-set's setwise stabilizer, restricts it to the t-set,
@@ -15,7 +17,22 @@ from parthom.partitions import (
     count_ordered,
     first_partition_of_type,
 )
-from parthom.perm import act_set, induced_action, orbit, stabilizer_generators
+from parthom.perm import (
+    DEFAULT_ORBIT_CAP,
+    OrbitCapExceeded,
+    act_set,
+    induced_action,
+    orbit,
+    point_steps,
+    stabilizer_generators,
+    walk,
+)
+
+
+def tuple_orbit(group, t):
+    """The orbit of the tuple (0, ..., t-1), as a set of `bytes` rows."""
+    return walk((bytes(range(t)),), point_steps(group.raw_gens()),
+                DEFAULT_ORBIT_CAP, OrbitCapExceeded)
 
 
 @lru_cache(maxsize=None)

@@ -43,16 +43,14 @@ from parthom.perm import (
     Permutation,
     act_point,
     act_set,
-    compact_set,
-    compact_tuple,
+    act_tuple,
     enumerate_elements,
-    mask_map,
-    mask_of,
     orbit,
     orbit_transversal,
     schreier_sims,
     stabilizer_generators,
 )
+from reference import tuple_orbit
 
 CATALOG = catalog_entries(9)
 RANDOM_ORDER_CAP = 5000
@@ -139,19 +137,18 @@ def check_tuple_orbits(group):
     n = group.degree
     chain = group.chain()
     for t in range(1, n + 1):
-        start = compact_tuple.encode(tuple(range(t)), n)
-        walked = len(orbit(group, start, compact_tuple))
+        walked = len(tuple_orbit(group, t))
         assert chain.prefix_orbit_size(t) == walked, t
         trans = decide_t_transitive(group, t)
         assert trans.verdict == (walked == math.perm(n, t)), t
         if trans.method == METHOD_CHAIN:
             assert trans.orbit_size == walked, t
         hom = decide_t_homogeneous(group, t)
-        sets = len(orbit(group, mask_of(range(t)), compact_set))
+        sets = len(orbit(group, tuple(range(t)), act_set))
         assert hom.verdict == (sets == math.comb(n, t)), t
         if hom.method == METHOD_CHAIN:
             # the decision reads the orbit of {0, ..., min(t, n-t)-1}
-            seeded = orbit(group, mask_of(range(min(t, n - t))), compact_set)
+            seeded = orbit(group, tuple(range(min(t, n - t))), act_set)
             assert hom.orbit_size == len(seeded), t
 
 
@@ -179,8 +176,7 @@ def test_mathieu_transitivity_degrees_from_the_chain():
 @pytest.mark.slow
 def test_m24_five_tuple_walk_matches_the_chain():
     m24 = build_group("m:24")
-    start = compact_tuple.encode(tuple(range(5)), 24)
-    walked = len(orbit(m24, start, compact_tuple))
+    walked = len(tuple_orbit(m24, 5))
     assert walked == 5100480
     assert decide_t_transitive(m24, 5).orbit_size == walked
 
@@ -205,12 +201,9 @@ def test_known_order_stabilizers_on_catalog(entry):
     group = entry.group
     for t in range(1, group.degree // 2 + 1):
         seed = tuple(range(t))
-        check_stabilizer(group, mask_of(seed), compact_set,
-                         lambda images: act_set(seed, images) == seed)
         check_stabilizer(group, seed, act_set,
                          lambda images: act_set(seed, images) == seed)
-        check_stabilizer(group, compact_tuple.encode(seed, group.degree),
-                         compact_tuple,
+        check_stabilizer(group, seed, act_tuple,
                          lambda images: images[:t] == seed)
 
 
@@ -258,7 +251,7 @@ def check_block_orbit_reads(group):
             for plan in chain_plans(lam, ordered):
                 assert chain_orbit_size(group, plan) == walked, (lam, plan)
     for t in range(1, n):
-        walked = len(orbit(group, mask_of(range(t)), compact_set))
+        walked = len(orbit(group, tuple(range(t)), act_set))
         assert chain_orbit_size(group, ChainPlan((t,), True)) == walked, t
 
 
@@ -321,26 +314,26 @@ def test_reversed_chain_on_random_groups():
 
 def tower(group, blocks):
     """The Schreier trees of a tower of set stabilizers: tree i is the orbit
-    of block i under the stabilizer of blocks 0..i-1, walked on bitmasks, so
-    the ordered orbit of the blocks is the product of the tree sizes."""
+    of block i under the stabilizer of blocks 0..i-1, walked under
+    `act_set`, so the ordered orbit of the blocks is the product of the tree
+    sizes."""
     trees = []
     for block in blocks:
-        mask = mask_of(block)
-        trees.append(orbit_transversal(group, mask, compact_set))
-        group = stabilizer_generators(group, mask, compact_set)
+        trees.append(orbit_transversal(group, block, act_set))
+        group = stabilizer_generators(group, block, act_set)
     return trees
 
 
-def in_ordered_orbit(trees, masks):
-    """Transporter test: whether the tuple of block masks lies in the
-    ordered orbit of the tower's blocks, by moving each block back to the
-    tower's with the tree element of its level."""
+def in_ordered_orbit(trees, blocks):
+    """Transporter test: whether the tuple of blocks lies in the ordered
+    orbit of the tower's blocks, by moving each block back to the tower's
+    with the tree element of its level."""
     for i, tree in enumerate(trees):
-        u = tree.get(masks[i])
+        u = tree.get(blocks[i])
         if u is None:
             return False
-        back = mask_map(u.inverse().images)
-        masks = [back(m) for m in masks]
+        back = u.inverse().images
+        blocks = [act_set(b, back) for b in blocks]
     return True
 
 
@@ -354,9 +347,8 @@ def test_m24_block_orbits_beyond_any_walk(sizes, factors, unordered):
     trees = tower(m24, blocks)
     assert [len(tree) for tree in trees] == factors
     ordered = math.prod(factors)
-    masks = [mask_of(b) for b in blocks]
     realized = sum(in_ordered_orbit(trees, list(p))
-                   for p in itertools.permutations(masks))
+                   for p in itertools.permutations(blocks))
     assert ordered // realized == unordered
     chain = m24.chain()
     assert chain.block_orbit_size(sizes, ordered=True) == ordered

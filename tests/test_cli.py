@@ -65,6 +65,18 @@ def test_orbit_cap_exceeded(capsys):
     assert code == 2 and "cap exceeded" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize("verb", [
+    ["orbit", "--group", "fix+c:3", "--point", "4"],
+    ["oracle-semigroup", "--group", "agl1:5", "--map", "1,1,3,4,5"],
+], ids=["orbit", "oracle-semigroup"])
+def test_cap_below_one_is_a_usage_error(capsys, verb, cap):
+    with pytest.raises(SystemExit) as exc:
+        run(verb + ["--cap", cap])
+    assert exc.value.code == 2
+    assert "argument --cap: must be at least 1" in capsys.readouterr().err
+
+
 def test_check_homog(capsys):
     code, out, _ = invoke(capsys, "check-homog", "--group", "agl1:5",
                           "--t", "3")

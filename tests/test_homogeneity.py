@@ -41,7 +41,7 @@ from parthom.partitions import (
     integer_partitions,
     iter_ordered_partitions,
 )
-from parthom.perm import enumerate_elements
+from parthom.perm import enumerate_elements, orbit
 from reference import walked_standard_pair
 
 
@@ -125,6 +125,15 @@ def test_shortcut_kicks_in_for_big_t_transitive():
     assert result.method == "order-bound shortcut"
     assert not result.verdict
     assert perm(12, 6) > m12.order()
+
+
+def test_degree_300_decisions_and_ordered_partition_orbit():
+    group = build_group("c:300")
+    result = decide_t_transitive(group, 1)
+    assert result.verdict and result.orbit_size == 300
+    assert decide_t_homogeneous(group, 1).orbit_size == 300
+    ordered = first_partition_of_type((2,) + (1,) * 298)
+    assert len(orbit(group, ordered, act_ordered_partition)) == 300
 
 
 # -- lambda verdicts -----------------------------------------------------------

@@ -226,12 +226,13 @@ def test_orbit_transversal_cap_boundary():
     g = sym_group(6)
     for seed, act, size in ((0, act_point, 6), ((0, 1), act_set, 15),
                             ((0, 1, 2), act_tuple, 120)):
-        assert len(orbit_transversal(g, seed, act, cap=size)) == size
-        with pytest.raises(OrbitCapExceeded) as err:
-            orbit_transversal(g, seed, act, cap=size - 1)
-        cap, visited, frontier = cap_message_counts(err)
-        assert cap == visited == size - 1
-        assert 0 < frontier < size
+        for walker in (orbit, orbit_transversal):
+            assert len(walker(g, seed, act, cap=size)) == size
+            with pytest.raises(OrbitCapExceeded) as err:
+                walker(g, seed, act, cap=size - 1)
+            cap, visited, frontier = cap_message_counts(err)
+            assert cap == visited == size - 1
+            assert 0 < frontier < size
 
 
 def test_trivial_group():
@@ -264,6 +265,17 @@ def test_orbit_cap_raises():
     g = sym_group(8)
     with pytest.raises(OrbitCapExceeded):
         orbit(g, tuple(range(8)), act_tuple, cap=100)
+
+
+def test_cap_error_reports_progress_not_the_seed():
+    start = (0, 1, 2)
+    with pytest.raises(OrbitCapExceeded) as err:
+        orbit(sym_group(6), start, act_tuple, cap=10)
+    message = str(err.value)
+    assert "cap of 10 states" in message
+    assert "10 states visited" in message
+    assert "in the frontier" in message
+    assert repr(start) not in message
 
 
 def test_enumeration_cap_raises():

@@ -412,6 +412,19 @@ def test_is_closed_detects_holes():
     assert not broken.is_closed()
 
 
+def test_is_closed_checks_every_pair():
+    # the maps of rank at most 2 on 5 points are closed; the rank-4 map a
+    # keeps them closed on both sides but its square is missing, and with
+    # 306 elements the hole lies past the first 10^4 pairs
+    low_rank = [t for t in map(Transformation, product(range(5), repeat=5))
+                if t.rank <= 2]
+    assert TransSemigroup(5, frozenset(low_rank)).is_closed()
+    a = parse_transformation("5,5,4,3,2")
+    holed = TransSemigroup(5, frozenset(low_rank + [a]))
+    assert len(holed) == 306 and a * a not in holed
+    assert not holed.is_closed()
+
+
 # ---------------------------------------------------------------------------
 # generate_arc and the coarsening-cone law
 
