@@ -8,6 +8,7 @@ for one JSON document on stdout.  Progress chatter, when any, goes to stderr.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -204,7 +205,10 @@ def _add_cap(parser, default):
                         help="orbit/closure size cap (default %d)" % default)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and then shared: parsing
+    leaves it unchanged, and building it costs more than most requests."""
     parser = argparse.ArgumentParser(
         prog="parthom",
         description="Partition-homogeneity, partition-transitivity, and "

@@ -8,6 +8,13 @@ Moduli are the minimal irreducible monic polynomials under that same integer
 encoding of their lower coefficients, found by find_min_modulus and committed
 below so the tables never depend on search order; the test suite re-runs the
 search and compares.
+
+Building GF(q) takes O(q) polynomial products, not q^2.  The powers of each
+candidate element, by multiply-and-reduce, give the smallest primitive
+element alpha and its powers alpha^0, ..., alpha^(q-2) (the antilog list);
+the product and inverse tables are then read off the logarithms, since
+alpha^i * alpha^j = alpha^(i+j mod q-1).  The addition table is digit-wise
+addition mod p, built a digit at a time.
 """
 
 from __future__ import annotations
@@ -125,7 +132,16 @@ def find_min_modulus(p, d):
 
 
 class GF:
-    """The field with q elements; all arithmetic through precomputed tables."""
+    """The field with q elements; all arithmetic through precomputed tables.
+
+    `alpha` is the smallest primitive element, `log` maps each nonzero
+    element to its exponent base alpha, and `add_table`, `mul_table` and
+    `inv_table` hold every sum, product and inverse.  The constructor makes
+    at most 2q polynomial products: the powers of the candidates 1, 2, ...
+    up to their orders, skipping the powers of those that fell short, until
+    one has order q-1.  The product and inverse tables come from `log` and
+    that element's powers.
+    """
 
     def __init__(self, q):
         p, d = factor_prime_power(q)
@@ -143,8 +159,6 @@ class GF:
         self.zero = 0
         self.one = 1
         self._build_tables()
-        self.alpha = self._find_primitive()
-        self._build_log()
 
     # encoding helpers
     def coeffs(self, e):
@@ -162,46 +176,45 @@ class GF:
 
     def _build_tables(self):
         q, p = self.q, self.p
-        self.add_table = [[0] * q for _ in range(q)]
-        self.mul_table = [[0] * q for _ in range(q)]
-        vecs = [self.coeffs(e) for e in range(q)]
-        for a in range(q):
-            for b in range(q):
-                s = tuple((x + y) % p for x, y in zip(vecs[a], vecs[b]))
-                self.add_table[a][b] = self.encode(s)
-                prod = _poly_mod(_poly_mul(_poly_trim(vecs[a]),
-                                           _poly_trim(vecs[b]), p),
-                                 self.modulus, p)
-                prod = prod + (0,) * (self.d - len(prod))
-                self.mul_table[a][b] = self.encode(prod)
-        # field invariant: every nonzero element is invertible
-        self.inv_table = [None] * q
-        for a in range(1, q):
-            row = self.mul_table[a]
-            hits = [b for b in range(q) if row[b] == 1]
-            if len(hits) != 1:
-                raise ArithmeticError(
-                    "element %d has %d inverses; not a field" % (a, len(hits)))
-            self.inv_table[a] = hits[0]
+        # digit-wise sums: extend the table of the low digits by one digit
+        table, size = [[0]], 1
+        for _ in range(self.d):
+            table = [[x + size * ((hi_a + hi_b) % p)
+                      for hi_b in range(p) for x in table[low_a]]
+                     for hi_a in range(p) for low_a in range(size)]
+            size *= p
+        self.add_table = table
+        self.alpha, powers = self._find_primitive()
+        self.log = {x: k for k, x in enumerate(powers)}
+        logs = [self.log[x] for x in range(1, q)]
+        twice = powers + powers          # alpha^k for k < 2(q-1)
+        self.mul_table = [[0] * q] + [[0] + [twice[i + j] for j in logs]
+                                      for i in logs]
+        self.inv_table = [None] + [powers[-i % (q - 1)] for i in logs]
 
     def _find_primitive(self):
-        """Smallest element whose powers run through all q-1 nonzero ones."""
+        """The smallest element whose powers run through all q-1 nonzero
+        ones, with its powers alpha^0, ..., alpha^(q-2).  Each candidate's
+        powers are multiplied out until they return to 1, order(a) - 1
+        polynomial products for a candidate a; a power of a candidate that
+        fell short has a smaller order too, so it is skipped."""
+        p, modulus = self.p, self.modulus
+        short = set()
         for a in range(1, self.q):
-            seen = set()
-            x = 1
+            if a in short:
+                continue
+            base = _poly_trim(self.coeffs(a))
+            powers = [1]
+            x = base
             for _ in range(self.q - 1):
-                x = self.mul_table[x][a]
-                seen.add(x)
-            if len(seen) == self.q - 1:
-                return a
+                if x == (1,):
+                    break
+                powers.append(self.encode(x))
+                x = _poly_mod(_poly_mul(x, base, p), modulus, p)
+            if x == (1,) and len(powers) == self.q - 1:
+                return a, powers
+            short.update(powers)
         raise ArithmeticError("no primitive element found for q=%d" % self.q)
-
-    def _build_log(self):
-        self.log = {}
-        x = 1
-        for k in range(self.q - 1):
-            self.log[x] = k
-            x = self.mul_table[x][self.alpha]
 
     # arithmetic
     def add(self, a, b):

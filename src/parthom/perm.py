@@ -21,6 +21,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -246,19 +247,23 @@ def point_steps(gens):
 @dataclass
 class ChainLevel:
     """One level: generators of the level's group, all fixing points
-    0..point-1, the Schreier tree of `point` under them, and the image
-    tuples of the tree elements' inverses, which sifting applies."""
+    0..point-1, the Schreier tree of `point` under them, the image tuples
+    of the tree elements' inverses, which sifting applies, and how many
+    pairs (tree point, generator) Schreier-Sims has checked for Schreier
+    generators since the tree was last built."""
 
     point: int
     gens: list = field(default_factory=list)
     transversal: dict = field(default_factory=dict)
     inverses: dict = field(default_factory=dict)
+    checked: int = 0
 
     def rebuild(self, degree):
         self.transversal = orbit_transversal(PermGroup(degree, self.gens),
                                              self.point, act_point)
         self.inverses = {x: u.inverse().images
                          for x, u in self.transversal.items()}
+        self.checked = 0
 
 
 @dataclass
@@ -404,27 +409,36 @@ def _absorb(levels, g, start):
     return j
 
 
-def _schreier_generators(tree, steps, gens, inverse_of):
+def _schreier_generators(tree, steps, gens, inverse_of, start=0):
     """The Schreier generators u_x s u_{xs}^-1 of a Schreier tree, as image
-    tuples in tree order, skipping the tree edges, where they are the
-    identity; `inverse_of(y)` is the image tuple of tree[y]'s inverse."""
-    for x, ux in tree.items():
-        for step, s in zip(steps, gens):
+    tuples, for the pairs (x, s) in tree order from the `start`-th on.
+    Each comes with the number of pairs checked through it; the tree edges,
+    where the generator is the identity, are counted but not yielded.
+    `inverse_of(y)` is the image tuple of tree[y]'s inverse."""
+    first, skip = divmod(start, len(gens))
+    checked = start
+    for x, ux in itertools.islice(tree.items(), first, None):
+        for step, s in zip(steps[skip:], gens[skip:]):
+            checked += 1
             y = step(x)
             uxs = tuple(map(s.__getitem__, ux.images))
             if uxs != tree[y].images:
-                yield tuple(map(inverse_of(y).__getitem__, uxs))
+                yield checked, tuple(map(inverse_of(y).__getitem__, uxs))
+        skip = 0
 
 
 def _absorb_schreier_generator(levels, i):
     """Sift the Schreier generators of level i into the levels below it
     until one is absorbed: the level `_absorb` returns for it, or None when
-    all sift through."""
+    all sift through.  The scan resumes after the last generator checked
+    since the level was built: the levels below only grow, so those still
+    sift through."""
     level = levels[i]
     gens = [s.images for s in level.gens]
-    for h in _schreier_generators(level.transversal,
-                                  [s.__getitem__ for s in gens], gens,
-                                  level.inverses.__getitem__):
+    for checked, h in _schreier_generators(
+            level.transversal, [s.__getitem__ for s in gens], gens,
+            level.inverses.__getitem__, level.checked):
+        level.checked = checked
         j = _absorb(levels, h, i + 1)
         if j is not None:
             return j
@@ -447,11 +461,14 @@ def schreier_sims(degree, generators):
     0, 1, 2, ....
 
     The generators are sifted in one by one, then Schreier-Sims completes
-    the chain deepest level first.  For a fixed generator list the chain,
-    its transversals included, is reproducible.  A residue joins the levels
-    from the one its sift started at to the one it stopped at; the group of
-    each level above already holds it, so the level groups stay nested the
-    way the order product requires.
+    the chain deepest level first.  A level's scan of its Schreier
+    generators resumes after the ones it checked before, until the level
+    is rebuilt: the levels below only grow, so those still sift through.
+    For a fixed generator list the chain, its transversals included, is
+    reproducible.  A residue joins the levels from the one its sift started
+    at to the one it stopped at; the group of each level above already
+    holds it, so the level groups stay nested the way the order product
+    requires.
     """
     levels = []
     for g in generators:
@@ -517,8 +534,14 @@ class PermGroup:
 def walk(seeds, steps, cap, error):
     """The one breadth-first walk: the set of states reached from `seeds` by
     the `steps` (maps state -> state), applied in frontier order and step
-    order.  Reaching more than `cap` states raises `error`."""
+    order.  Reaching more than `cap` states raises `error`, and so do more
+    distinct seeds than `cap`; a cap below 1 is a ValueError."""
+    if cap < 1:
+        raise ValueError("a walk's cap must be at least 1, got %d" % cap)
     seen = set(seeds)
+    if len(seen) > cap:
+        raise error("walk stopped at the cap of %d states (%d distinct seeds)"
+                    % (cap, len(seen)))
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -600,9 +623,9 @@ def stabilizer_generators(group, seed, act, cap=DEFAULT_ORBIT_CAP):
     tree = orbit_transversal(group, seed, act, cap=cap)
     target = group.order() // len(tree)
     chain = StabilizerChain(n, [])
-    for h in _schreier_generators(tree, _action_steps(group, act),
-                                  group.raw_gens(),
-                                  lambda y: tree[y].inverse().images):
+    for _, h in _schreier_generators(tree, _action_steps(group, act),
+                                     group.raw_gens(),
+                                     lambda y: tree[y].inverse().images):
         if chain.order() == target:
             break
         _absorb(chain.levels, h, 0)

@@ -7,6 +7,10 @@ the stabilizer-chain reads of `parthom.homogeneity`: it walks the orbit of
 a t-set, builds the t-set's setwise stabilizer, restricts it to the t-set,
 and walks the orbit of an ordered partition of the rest of the shape under
 the public `act_ordered_partition`.
+`restarted_schreier_sims` completes a chain by the plain scan: every time
+it climbs back to a level, it sifts that level's Schreier generators again
+from the first one.  `schreier_sims`, which resumes each scan, must build
+the same chain.
 """
 
 import math
@@ -20,6 +24,8 @@ from parthom.partitions import (
 from parthom.perm import (
     DEFAULT_ORBIT_CAP,
     OrbitCapExceeded,
+    StabilizerChain,
+    _absorb,
     act_set,
     induced_action,
     orbit,
@@ -60,3 +66,31 @@ def walked_standard_pair(group, lam):
     rest = lam[1:]
     walked = orbit(inside, first_partition_of_type(rest), act_ordered_partition)
     return len(walked) == count_ordered(rest)
+
+
+def restarted_schreier_sims(degree, generators):
+    """Base 0, 1, 2, ...: sift the generators in, then complete the chain
+    deepest level first, scanning a level's Schreier generators u_x s
+    u_{xs}^-1 (tree order, then generator order, tree edges skipped) from
+    the start whenever the scan reaches that level."""
+    levels = []
+    for g in generators:
+        _absorb(levels, g.images, 0)
+    i = len(levels) - 1
+    while i >= 0:
+        level = levels[i]
+        tree = level.transversal
+        absorbed_at = None
+        for x, ux in tree.items():
+            for s in level.gens:
+                uxs = ux * s
+                uy = tree[s.images[x]]
+                if uxs != uy:
+                    absorbed_at = _absorb(levels, (uxs * uy.inverse()).images,
+                                          i + 1)
+                    if absorbed_at is not None:
+                        break
+            if absorbed_at is not None:
+                break
+        i = i - 1 if absorbed_at is None else absorbed_at
+    return StabilizerChain(degree, levels)

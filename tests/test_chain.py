@@ -12,7 +12,9 @@ the chain.  Partition and t-set orbits read off the chain, a tuple orbit
 divided by the block reorderings the group realizes, are checked against
 the orbits walked under the public partition and set actions, under every
 plan, the reversed chain's included, and on two m:24 rows that no walk
-reaches, against a tower of set stabilizers.
+reaches, against a tower of set stabilizers.  Every chain, reversed ones
+included, is the chain the restart-from-zero completion of
+`reference.restarted_schreier_sims` builds, level by level.
 """
 
 import itertools
@@ -50,7 +52,8 @@ from parthom.perm import (
     schreier_sims,
     stabilizer_generators,
 )
-from reference import tuple_orbit
+import reference
+from reference import restarted_schreier_sims, tuple_orbit
 
 CATALOG = catalog_entries(9)
 RANDOM_ORDER_CAP = 5000
@@ -356,3 +359,59 @@ def test_m24_block_orbits_beyond_any_walk(sizes, factors, unordered):
     lam = sizes + (1,) * (24 - sum(sizes))
     plan = min(chain_plans(lam, False), key=lambda p: p.reorderings)
     assert chain_orbit_size(m24, plan) == unordered
+
+
+def chain_layout(chain):
+    """Per level: base point, strong generators, and the transversal's
+    points and elements, all in order."""
+    return [(level.point, [g.images for g in level.gens],
+             [(x, u.images) for x, u in level.transversal.items()])
+            for level in chain.levels]
+
+
+def check_chain_matches_restarted_scans(group):
+    n = group.degree
+    last = n - 1
+    reversed_gens = [Permutation(tuple(last - g.images[last - i]
+                                       for i in range(n)))
+                     for g in group.generators]
+    assert (chain_layout(schreier_sims(n, group.generators))
+            == chain_layout(restarted_schreier_sims(n, group.generators)))
+    assert (chain_layout(group.reversed_chain())
+            == chain_layout(restarted_schreier_sims(n, reversed_gens)))
+
+
+@pytest.mark.parametrize("entry", catalog_entries(12), ids=lambda e: e.spec)
+def test_chain_matches_restarted_scans_on_catalog(entry):
+    check_chain_matches_restarted_scans(entry.group)
+
+
+@pytest.mark.parametrize("spec", ["m:11", "m:12", "m:23", "m:24",
+                                  "pgammal2:32"])
+def test_chain_matches_restarted_scans_on_large_groups(spec):
+    check_chain_matches_restarted_scans(build_group(spec))
+
+
+def test_chain_matches_restarted_scans_on_random_groups():
+    for group, _ in RANDOM:
+        check_chain_matches_restarted_scans(group)
+
+
+def test_resumed_scans_sift_fewer_schreier_generators(monkeypatch):
+    """The resumed scan skips the Schreier generators already sifted, so it
+    absorbs the same residues from fewer sifts."""
+    def counting(module):
+        calls = []
+        absorb = module._absorb
+
+        def counted(levels, g, start):
+            calls.append(start)
+            return absorb(levels, g, start)
+        monkeypatch.setattr(module, "_absorb", counted)
+        return calls
+
+    m24 = build_group("m:24")
+    resumed, restarted = counting(perm), counting(reference)
+    schreier_sims(24, m24.generators)
+    restarted_schreier_sims(24, m24.generators)
+    assert 0 < len(resumed) < len(restarted)

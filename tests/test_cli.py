@@ -1,7 +1,9 @@
 """Command-line interface tests.
 
 Everything drives run(argv) in-process and checks stdout, stderr, and the
-exit code; one test confirms the installed console entry point resolves.
+exit code; one test confirms the installed console entry point resolves, and
+one replays a sequence through the one shared parser against fresh
+processes.
 """
 
 import argparse
@@ -323,3 +325,39 @@ def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "parthom.cli", "group-order",
                           "--group", "c:7"], capture_output=True, text=True)
     assert out.returncode == 0 and out.stdout.strip() == "7"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+REUSE_SEQUENCE = [
+    ["check-pair", "--group", "agl1:5", "--lambda", "2,1,1,1",
+     "--map", "1,1,3,4,5"],
+    ["check-pair", "--group", "agl1:5", "--lambda", "2,1,1,1"],
+    ["check-pair", "--group", "agl1:5", "--map", "1,1,3,4,5", "--clause"],
+    ["check-homog", "--group", "m:12", "--t", "4", "--json"],
+    ["check-homog", "--group", "m:12", "--t", "4"],
+]
+
+
+def run_in_process(capsys, argv):
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_answers_like_a_fresh_process(capsys, monkeypatch):
+    # usage text wraps at the terminal width, so both sides get the same
+    monkeypatch.setenv("COLUMNS", "80")
+    assert build_parser() is build_parser()
+    results = [run_in_process(capsys, argv) for argv in REUSE_SEQUENCE]
+    assert results[0][0] == 2 and "not allowed with" in results[0][2]
+    assert [code for code, _, _ in results[1:]] == [0, 0, 0, 0]
+    for argv, result in zip(REUSE_SEQUENCE, results):
+        fresh = subprocess.run([sys.executable, "-m", "parthom.cli", *argv],
+                               capture_output=True, text=True)
+        assert result == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -1,7 +1,9 @@
-"""Finite field tables: axioms, committed moduli, primitive elements."""
+"""Finite field tables: axioms, committed moduli, primitive elements, and
+every table against a plain multiply-and-reduce construction."""
 
 import pytest
 
+from parthom import fields
 from parthom.fields import (
     COMMITTED_MODULI,
     GF,
@@ -113,3 +115,68 @@ def test_oversize_rejected():
         GF(37 * 37)
     with pytest.raises(ValueError):
         GF(64)
+
+
+def multiply_and_reduce_tables(q):
+    """(add, mul, inv, alpha, log) of GF(q) built the plain way: every sum
+    digit by digit, every product as a polynomial product reduced mod the
+    field's monic modulus, inverses and the primitive element by search."""
+    p, d = factor_prime_power(q)
+    modulus = COMMITTED_MODULI.get(q, (0, 1))
+
+    def digits(e):
+        return [e // p ** i % p for i in range(d)]
+
+    def number(coeffs):
+        return sum(c * p ** i for i, c in enumerate(coeffs))
+
+    def product(a, b):
+        out = [0] * (2 * d)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                out[i + j] = (out[i + j] + x * y) % p
+        for k in range(len(out) - 1, d - 1, -1):
+            lead, out[k] = out[k], 0
+            for i, c in enumerate(modulus[:-1]):
+                out[k - d + i] = (out[k - d + i] - lead * c) % p
+        return number(out[:d])
+
+    add = [[number([(x + y) % p for x, y in zip(digits(a), digits(b))])
+            for b in range(q)] for a in range(q)]
+    mul = [[product(a, b) for b in range(q)] for a in range(q)]
+    inv = [None] + [mul[a].index(1) for a in range(1, q)]
+
+    def powers(a):
+        out = [1]
+        while mul[out[-1]][a] != 1:
+            out.append(mul[out[-1]][a])
+        return out
+
+    alpha = next(a for a in range(1, q) if len(powers(a)) == q - 1)
+    log = {x: k for k, x in enumerate(powers(alpha))}
+    return add, mul, inv, alpha, log
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_tables_match_multiply_and_reduce(q):
+    f = GF(q)
+    add, mul, inv, alpha, log = multiply_and_reduce_tables(q)
+    assert f.add_table == add
+    assert f.mul_table == mul
+    assert f.inv_table == inv
+    assert f.alpha == alpha
+    assert f.log == log
+    assert list(f.log) == list(log)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_tables_take_at_most_2q_polynomial_products(q, monkeypatch):
+    calls = []
+    poly_mul = fields._poly_mul
+
+    def counted(a, b, p):
+        calls.append(q)
+        return poly_mul(a, b, p)
+    monkeypatch.setattr(fields, "_poly_mul", counted)
+    GF(q)
+    assert len(calls) <= 2 * q

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parthom.catalog import build_group
 from parthom.perm import (
     EnumerationCapExceeded,
     GroupFileError,
@@ -26,6 +27,7 @@ from parthom.perm import (
     render_group_file,
     schreier_sims,
     stabilizer_generators,
+    walk,
 )
 
 
@@ -276,6 +278,24 @@ def test_cap_error_reports_progress_not_the_seed():
     assert "10 states visited" in message
     assert "in the frontier" in message
     assert repr(start) not in message
+
+
+def test_walk_refuses_a_cap_below_one():
+    group = build_group("fix+c:3")
+    assert orbit(group, 3, act_point, cap=1) == {3}
+    for cap in (0, -2):
+        with pytest.raises(ValueError, match="at least 1"):
+            orbit(group, 3, act_point, cap=cap)
+        with pytest.raises(ValueError, match="at least 1"):
+            walk((), [], cap, OrbitCapExceeded)
+
+
+def test_walk_raises_when_the_seeds_exceed_the_cap():
+    seeds = (0, 1, 2, 1)
+    assert walk(seeds, [], 3, OrbitCapExceeded) == {0, 1, 2}
+    with pytest.raises(OrbitCapExceeded,
+                       match=r"cap of 2 states \(3 distinct seeds\)"):
+        walk(seeds, [], 2, OrbitCapExceeded)
 
 
 def test_enumeration_cap_raises():

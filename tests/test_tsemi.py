@@ -250,6 +250,19 @@ def test_closure_of_constants():
     assert s.is_closed()
 
 
+def test_closure_cap_counts_the_generators():
+    # the three constant maps close on themselves: a cap of 3 holds them,
+    # a cap of 1 or 2 cannot hold even the generators, and a cap of 0 is
+    # refused
+    consts = [Transformation.constant(3, v) for v in range(3)]
+    assert len(closure(consts, cap=3).elements) == 3
+    for cap in (1, 2):
+        with pytest.raises(EnumerationCapExceeded, match="3 distinct seeds"):
+            closure(consts, cap=cap)
+    with pytest.raises(ValueError, match="at least 1"):
+        closure(consts, cap=0)
+
+
 def test_closure_rejects():
     with pytest.raises(ValueError):
         closure([])
