@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .fields import GF, factor_prime_power
 from .perm import PermGroup, Permutation, parse_group_file
@@ -275,8 +275,7 @@ def build_group(spec):
 # ---------------------------------------------------------------------------
 # the degree-bounded catalog
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     spec: str
     group: object
 

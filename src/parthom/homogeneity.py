@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .partitions import (
     count_ordered,
@@ -29,15 +29,16 @@ METHOD_SHORTCUT = "order-bound shortcut"
 METHOD_CHAIN = "stabilizer-chain"
 
 
-@dataclass
 class QueryResult:
-    """One decided question: verdict plus the numbers that settled it."""
+    """One decided question: verdict plus the numbers that settled it;
+    `orbit_size` is None when a shortcut settled it."""
 
-    query: str
-    verdict: bool
-    expected: int
-    orbit_size: int | None   # None when a shortcut settled it
-    method: str
+    def __init__(self, query, verdict, expected, orbit_size, method):
+        self.query = query
+        self.verdict = verdict
+        self.expected = expected
+        self.orbit_size = orbit_size
+        self.method = method
 
     def as_dict(self):
         return {
@@ -49,10 +50,10 @@ class QueryResult:
         }
 
 
-@dataclass
 class HomogeneityReport:
-    group: str
-    results: list = field(default_factory=list)
+    def __init__(self, group):
+        self.group = group
+        self.results = []
 
     def add(self, result):
         self.results.append(result)
@@ -73,8 +74,7 @@ def _order_refutes(group, expected, query):
     return None
 
 
-@dataclass(frozen=True)
-class ChainPlan:
+class ChainPlan(NamedTuple):
     """Which blocks of a seed a chain read keeps: the runs of `sizes` from
     the chain's first base point, which is point 0, or point n-1 when
     `reverse`, with the points counted down from there.  The seed's other

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 
 DEFAULT_ORBIT_CAP = 10**7
 DEFAULT_ENUM_CAP = 10**6
@@ -244,34 +243,43 @@ def point_steps(gens):
 # first t levels, and sifting looks up g[k] at level k.
 
 
-@dataclass
 class ChainLevel:
     """One level: generators of the level's group, all fixing points
     0..point-1, the Schreier tree of `point` under them, the image tuples
-    of the tree elements' inverses, which sifting applies, and how many
-    pairs (tree point, generator) Schreier-Sims has checked for Schreier
-    generators since the tree was last built."""
+    of the tree elements' inverses, which sifting applies, and for each
+    tree point how many of the generators Schreier-Sims has checked there
+    for Schreier generators.
 
-    point: int
-    gens: list = field(default_factory=list)
-    transversal: dict = field(default_factory=dict)
-    inverses: dict = field(default_factory=dict)
-    checked: int = 0
+    The tree only grows: a new generator extends it in place, every entry
+    it held stays as it was, and only the new points get a tree element and
+    an inverse.  Generators are only appended, so the checked ones at a
+    point are a prefix of `gens`."""
 
-    def rebuild(self, degree):
-        self.transversal = orbit_transversal(PermGroup(degree, self.gens),
-                                             self.point, act_point)
-        self.inverses = {x: u.inverse().images
-                         for x, u in self.transversal.items()}
-        self.checked = 0
+    def __init__(self, point, degree):
+        identity = Permutation.identity(degree)
+        self.point = point
+        self.gens = []
+        self.transversal = {point: identity}
+        self.inverses = {point: identity.images}
+        self.checked = {}
+
+    def add_generator(self, h):
+        """Append the strong generator h and extend the tree to its orbit."""
+        self.gens.append(h)
+        known = len(self.transversal)
+        extend_transversal(self.transversal,
+                           [s.images.__getitem__ for s in self.gens],
+                           self.gens)
+        for x, u in itertools.islice(self.transversal.items(), known, None):
+            self.inverses[x] = u.inverse().images
 
 
-@dataclass
 class StabilizerChain:
     """Base-and-strong-generators data; levels[k] stabilizes points 0..k-1."""
 
-    degree: int
-    levels: list
+    def __init__(self, degree, levels):
+        self.degree = degree
+        self.levels = levels
 
     @property
     def base(self):
@@ -372,73 +380,73 @@ class StabilizerChain:
 
 def _sift(levels, g, start):
     """Sift the image tuple g through levels[start:]: (residue, index of the
-    level it stopped at, or len(levels))."""
+    level it stopped at, len(levels) when it passed every level, or None
+    when the residue is the identity)."""
     identity = tuple(range(len(g)))
     for j in range(start, len(levels)):
         if g == identity:
-            break
+            return g, None
         inverse = levels[j].inverses.get(g[j])
         if inverse is None:
             return g, j
         g = tuple(map(inverse.__getitem__, g))
-    return g, len(levels)
+    return g, None if g == identity else len(levels)
 
 
 def _absorb(levels, g, start):
     """Sift the image tuple g from level `start`; unless it sifts to the
     identity, add its residue as a strong generator to the levels from
     `start` down to the one it stopped at, appending levels up to the first
-    point it moves, and rebuild those levels.  Returns the deepest of them,
-    or None when g sifted through.
+    point it moves, and extend those levels' trees.  Returns the deepest of
+    them, or None when g sifted through.
 
     The levels above `start` need not gain the residue: sifting from
     `start` only multiplies g by elements of the level groups there, so
     when g lies in the group of level start-1, so does the residue.
     """
     residue, j = _sift(levels, g, start)
+    if j is None:
+        return None
     if j == len(levels):
-        moved = [p for p in range(j, len(residue)) if residue[p] != p]
-        if not moved:
-            return None
-        j = moved[0]
-        levels.extend(ChainLevel(p) for p in range(len(levels), j + 1))
+        j = next(p for p in range(j, len(residue)) if residue[p] != p)
+        levels.extend(ChainLevel(p, len(residue))
+                      for p in range(len(levels), j + 1))
     h = _unchecked(residue)
     for level in levels[start:j + 1]:
-        level.gens.append(h)
-        level.rebuild(len(residue))
+        level.add_generator(h)
     return j
 
 
-def _schreier_generators(tree, steps, gens, inverse_of, start=0):
+def _schreier_generators(tree, steps, gens, inverse_of, checked):
     """The Schreier generators u_x s u_{xs}^-1 of a Schreier tree, as image
-    tuples, for the pairs (x, s) in tree order from the `start`-th on.
-    Each comes with the number of pairs checked through it; the tree edges,
-    where the generator is the identity, are counted but not yielded.
-    `inverse_of(y)` is the image tuple of tree[y]'s inverse."""
-    first, skip = divmod(start, len(gens))
-    checked = start
-    for x, ux in itertools.islice(tree.items(), first, None):
-        for step, s in zip(steps[skip:], gens[skip:]):
-            checked += 1
+    tuples, for the pairs (x, s) in tree order, then generator order,
+    skipping at each x the first checked[x] generators (0 when x is not a
+    key).  checked[x] counts a pair once its generator is yielded, and the
+    tree edges, where the generator is the identity, once the scan of x is
+    through.  `inverse_of(y)` is the image tuple of tree[y]'s inverse."""
+    for x, ux in tree.items():
+        k = checked.get(x, 0)
+        for step, s in zip(steps[k:], gens[k:]):
+            k += 1
             y = step(x)
             uxs = tuple(map(s.__getitem__, ux.images))
             if uxs != tree[y].images:
-                yield checked, tuple(map(inverse_of(y).__getitem__, uxs))
-        skip = 0
+                checked[x] = k
+                yield tuple(map(inverse_of(y).__getitem__, uxs))
+        checked[x] = k
 
 
 def _absorb_schreier_generator(levels, i):
     """Sift the Schreier generators of level i into the levels below it
     until one is absorbed: the level `_absorb` returns for it, or None when
-    all sift through.  The scan resumes after the last generator checked
-    since the level was built: the levels below only grow, so those still
-    sift through."""
+    all sift through.  The scan skips the pairs checked before: their tree
+    entries never change and the levels below only grow, so their Schreier
+    generators still sift through."""
     level = levels[i]
     gens = [s.images for s in level.gens]
-    for checked, h in _schreier_generators(
-            level.transversal, [s.__getitem__ for s in gens], gens,
-            level.inverses.__getitem__, level.checked):
-        level.checked = checked
+    for h in _schreier_generators(level.transversal,
+                                  [s.__getitem__ for s in gens], gens,
+                                  level.inverses.__getitem__, level.checked):
         j = _absorb(levels, h, i + 1)
         if j is not None:
             return j
@@ -461,14 +469,17 @@ def schreier_sims(degree, generators):
     0, 1, 2, ....
 
     The generators are sifted in one by one, then Schreier-Sims completes
-    the chain deepest level first.  A level's scan of its Schreier
-    generators resumes after the ones it checked before, until the level
-    is rebuilt: the levels below only grow, so those still sift through.
-    For a fixed generator list the chain, its transversals included, is
-    reproducible.  A residue joins the levels from the one its sift started
-    at to the one it stopped at; the group of each level above already
-    holds it, so the level groups stay nested the way the order product
-    requires.
+    the chain deepest level first.  A new strong generator extends a
+    level's Schreier tree in place, so every tree entry, once made, stays.
+    A level's scan of its Schreier generators resumes, at each tree point,
+    after the generators it checked there before: their Schreier generators
+    are unchanged, and the levels below only grow, so those still sift
+    through.  The scan meets the pairs in the order of a scan restarted from
+    the first tree point, so it builds the same chain.  For a fixed
+    generator list the chain, its transversals included, is reproducible.
+    A residue joins the levels from the one its sift started at to the one
+    it stopped at; the group of each level above already holds it, so the
+    level groups stay nested the way the order product requires.
     """
     levels = []
     for g in generators:
@@ -587,12 +598,14 @@ def orbit(group, seed, act, cap=DEFAULT_ORBIT_CAP):
     return walk((seed,), _action_steps(group, act), cap, OrbitCapExceeded)
 
 
-def orbit_transversal(group, seed, act, cap=DEFAULT_ORBIT_CAP):
-    """Schreier tree of the orbit of seed under the action `act`, as in
-    `orbit`: each state maps to the product of generators along the first
-    walked path to it, and the dict lists the states in walk order."""
-    tree = {seed: Permutation.identity(group.degree)}
-
+def extend_transversal(tree, steps, gens, cap=DEFAULT_ORBIT_CAP):
+    """Extend the Schreier tree `tree` (state -> Permutation) in place to
+    the whole orbit under the `steps` (one per generator in `gens`): one
+    walk from the states it holds, in which each new state maps to
+    tree[x] * g for the first walked edge (x, g) that reaches it.  The
+    entries already there stay as they were, the new states follow them in
+    walk order, and reaching more than `cap` states raises
+    OrbitCapExceeded."""
     def edge(step, g):
         def tree_step(x):
             y = step(x)
@@ -601,9 +614,18 @@ def orbit_transversal(group, seed, act, cap=DEFAULT_ORBIT_CAP):
             return y
         return tree_step
 
-    walk((seed,), list(map(edge, _action_steps(group, act), group.generators)),
-         cap, OrbitCapExceeded)
+    walk(tuple(tree), list(map(edge, steps, gens)), cap, OrbitCapExceeded)
     return tree
+
+
+def orbit_transversal(group, seed, act, cap=DEFAULT_ORBIT_CAP):
+    """Schreier tree of the orbit of seed under the action `act`, as in
+    `orbit`: each state maps to the product of generators along the first
+    walked path to it, and the dict lists the states in walk order.  It is
+    the extension of the one-state tree {seed: 1}."""
+    return extend_transversal({seed: Permutation.identity(group.degree)},
+                              _action_steps(group, act), group.generators,
+                              cap)
 
 
 def stabilizer_generators(group, seed, act, cap=DEFAULT_ORBIT_CAP):
@@ -623,9 +645,9 @@ def stabilizer_generators(group, seed, act, cap=DEFAULT_ORBIT_CAP):
     tree = orbit_transversal(group, seed, act, cap=cap)
     target = group.order() // len(tree)
     chain = StabilizerChain(n, [])
-    for _, h in _schreier_generators(tree, _action_steps(group, act),
-                                     group.raw_gens(),
-                                     lambda y: tree[y].inverse().images):
+    for h in _schreier_generators(tree, _action_steps(group, act),
+                                  group.raw_gens(),
+                                  lambda y: tree[y].inverse().images, {}):
         if chain.order() == target:
             break
         _absorb(chain.levels, h, 0)

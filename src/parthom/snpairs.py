@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .homogeneity import (
@@ -34,15 +33,16 @@ WITNESS_RANK = "rank-homogeneity"
 WITNESS_PARTITION = "partition-homogeneity"
 
 
-@dataclass
 class PairVerdict:
-    shape: tuple
-    rank: int
-    verdict: bool
-    witness: str | None
-    rank_query: object
-    lambda_query: object | None
-    clause: str | None = None
+    def __init__(self, shape, rank, verdict, witness, rank_query,
+                 lambda_query, clause=None):
+        self.shape = shape
+        self.rank = rank
+        self.verdict = verdict
+        self.witness = witness
+        self.rank_query = rank_query
+        self.lambda_query = lambda_query
+        self.clause = clause
 
     def as_dict(self):
         out = {
@@ -212,11 +212,11 @@ def symbolic_clause(lam, group, facts=None):
 # fixture tables
 
 
-@dataclass
 class FixtureTable:
-    group_spec: str
-    degree: int
-    rows: list = field(default_factory=list)   # (shape, expected, raw text)
+    def __init__(self, group_spec, degree):
+        self.group_spec = group_spec
+        self.degree = degree
+        self.rows = []   # (shape, expected, raw text)
 
 
 def parse_fixture_text(text):

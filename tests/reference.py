@@ -9,8 +9,10 @@ and walks the orbit of an ordered partition of the rest of the shape under
 the public `act_ordered_partition`.
 `restarted_schreier_sims` completes a chain by the plain scan: every time
 it climbs back to a level, it sifts that level's Schreier generators again
-from the first one.  `schreier_sims`, which resumes each scan, must build
-the same chain.
+from the first tree point and the first generator.  It shares `_absorb`,
+so its levels' trees grow in place as in `schreier_sims`, and it tells
+apart only the scan: `schreier_sims` resumes each tree point's scan after
+the generators it checked there, and must build the same chain.
 """
 
 import math
@@ -72,7 +74,9 @@ def restarted_schreier_sims(degree, generators):
     """Base 0, 1, 2, ...: sift the generators in, then complete the chain
     deepest level first, scanning a level's Schreier generators u_x s
     u_{xs}^-1 (tree order, then generator order, tree edges skipped) from
-    the start whenever the scan reaches that level."""
+    the start whenever the scan reaches that level.  The tree and the
+    generators of a level only grow, so the scan meets the pairs checked
+    before in the order it met them then."""
     levels = []
     for g in generators:
         _absorb(levels, g.images, 0)

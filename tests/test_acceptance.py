@@ -293,7 +293,6 @@ def test_criterion_04_partition_homogeneous_only_rows():
         assert hom.verdict and not trans.verdict, (spec, lam)
 
 
-@pytest.mark.slow
 def test_criterion_04_slow_largest_mathieu_rows():
     group = build_group("m:24")
     for lam in [(2, 2) + (1,) * 20, (3, 2) + (1,) * 19]:

@@ -215,9 +215,10 @@ def test_known_order_stabilizers_on_catalog(entry):
     # generators are the generators themselves, and sifting those two
     # builds a chain of order 12 only
     [(0, 4, 2, 3, 1), (0, 4, 1, 2, 3)],
-    # a criterion-09 random group, S_8: one pass over the Schreier
-    # generators of point 0 reaches order 1680 of 5040
-    [(6, 1, 3, 5, 7, 0, 2, 4), (0, 5, 6, 2, 3, 4, 7, 1)],
+    # a random S_8, from a seeded search over 2-generator groups of degree
+    # 8 and 9: one pass over the Schreier generators of point 0 reaches
+    # order 1680 of 5040
+    [(6, 0, 7, 5, 4, 2, 1, 3), (6, 2, 3, 4, 5, 1, 0, 7)],
 ], ids=["s4-fixing-0", "s8-random"])
 def test_stabilizer_falls_back_to_schreier_sims(gens, monkeypatch):
     group = PermGroup(len(gens[0]), [Permutation(g) for g in gens])
@@ -415,3 +416,35 @@ def test_resumed_scans_sift_fewer_schreier_generators(monkeypatch):
     schreier_sims(24, m24.generators)
     restarted_schreier_sims(24, m24.generators)
     assert 0 < len(resumed) < len(restarted)
+
+
+def test_level_trees_grow_in_place(monkeypatch):
+    """While the chain of m:24 is built, a new strong generator extends its
+    level's Schreier tree without changing an entry already there, and each
+    tree point but the root is inverted once, when it joins."""
+    extensions = []
+    inverses = []
+    add_generator = perm.ChainLevel.add_generator
+    inverse = Permutation.inverse
+
+    def checked_add_generator(level, h):
+        before = [(x, u.images) for x, u in level.transversal.items()]
+        add_generator(level, h)
+        after = [(x, u.images) for x, u in level.transversal.items()]
+        assert after[:len(before)] == before
+        extensions.append(len(after) - len(before))
+
+    def counted_inverse(u):
+        inverses.append(u)
+        return inverse(u)
+
+    m24 = build_group("m:24")
+    monkeypatch.setattr(perm.ChainLevel, "add_generator",
+                        checked_add_generator)
+    monkeypatch.setattr(Permutation, "inverse", counted_inverse)
+    chain = schreier_sims(24, m24.generators)
+    monkeypatch.undo()
+    assert chain.order() == 244823040
+    grown = sum(len(level.transversal) - 1 for level in chain.levels)
+    assert len(inverses) == sum(extensions) == grown
+    assert len(extensions) > len(chain.levels)

@@ -200,9 +200,18 @@ def test_transversals_match_plain_schreier_tree(g):
         assert list(tree.items()) == list(ref.items())
         for x, u in tree.items():
             assert act(seed, u.images) == x
+    # a chain level's tree grows in place as generators join, so it is a
+    # Schreier tree of the orbit, not the breadth-first one built afresh
     for level in g.chain().levels:
-        ref = reference_tree(level.point, level.gens, act_point)
-        assert list(level.transversal.items()) == list(ref.items())
+        tree = list(level.transversal.items())
+        assert set(level.transversal) == \
+            set(reference_tree(level.point, level.gens, act_point))
+        assert tree[0] == (level.point, Permutation.identity(g.degree))
+        for i, (x, u) in enumerate(tree):
+            assert u.images[level.point] == x
+            if i:
+                assert any(u == p * s for _, p in tree[:i]
+                           for s in level.gens)
 
 
 def cap_message_counts(err):
