@@ -158,7 +158,7 @@ def cmd_oracle_semigroup(args):
     sym = build_group("s:%d" % group.degree)
     over_group = generate_arc(target, group, cap=args.cap)
     over_sym = generate_arc(target, sym, cap=args.cap)
-    equal = over_group.elements == over_sym.elements
+    equal = over_group.rows == over_sym.rows
     payload = {"group": args.group, "map": args.map,
                "group_closure": len(over_group),
                "symmetric_closure": len(over_sym), "equal": equal}

@@ -343,8 +343,8 @@ def independent_set_pair_theorem_check(maps, group, cap=10**6):
     if not is_independent(maps):
         raise ValueError("the given set is not independent")
     sym = build_group("s:%d" % group.degree)
-    left = generate_arc_set(maps, group, cap=cap).elements \
-        == generate_arc_set(maps, sym, cap=cap).elements
+    left = generate_arc_set(maps, group, cap=cap).rows \
+        == generate_arc_set(maps, sym, cap=cap).rows
     right = all(is_sn_pair(m, group).verdict for m in maps)
     return {"semigroups_equal": left, "members_all_pairs": right,
             "theorem_holds": left == right}

@@ -6,13 +6,21 @@ its 0-based image row: `bytes` up to degree 256, a `perm.WideRow` above.
 Right multiplication by b is `row.translate(perm.point_table(b.row))`, so
 products compose in C.  Every generation routine is a breadth-first walk
 over generator words on rows (`perm.walk` with `perm.point_steps`), so the
-resulting element set is independent of insertion order, and the walked
-rows become the rows of the elements.
+resulting element set is independent of insertion order.
+
+A semigroup holds the frozenset of its elements' rows, as the walk returns
+them, and the closures, arcs and structure checks work on those rows.  A
+`Transformation` is made only at the edge: when a semigroup is iterated,
+when its elements are listed as text, and in the sets that `idempotents`
+and `local_group_at` return.  `TransSemigroup.elements` is a read-only set
+view of the rows that yields `Transformation`s and compares with plain sets
+of them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Set
 from itertools import groupby, product
 from typing import NamedTuple
 
@@ -68,7 +76,7 @@ class Transformation:
         try:
             return self._image
         except AttributeError:
-            self._image = tuple(sorted(set(self.row)))
+            self._image = _image_set(self.row)
             return self._image
 
     @property
@@ -81,10 +89,7 @@ class Transformation:
         try:
             return self._kernel
         except AttributeError:
-            fibers = {}
-            for x, v in enumerate(self.row):
-                fibers.setdefault(v, []).append(x)
-            self._kernel = canon_set_partition(fibers.values())
+            self._kernel = _kernel(self.row)
             return self._kernel
 
     @property
@@ -128,6 +133,22 @@ def _from_row(row, new=object.__new__):
     return t
 
 
+def _image_set(row):
+    return tuple(sorted(set(row)))
+
+
+def _kernel(row):
+    """The fibers of the map with this row, as a canonical set partition."""
+    fibers = {}
+    for x, v in enumerate(row):
+        fibers.setdefault(v, []).append(x)
+    return canon_set_partition(fibers.values())
+
+
+def _is_idempotent(row):
+    return row.translate(point_table(row)) == row
+
+
 def parse_transformation(text, n=None):
     """Parse a 1-based image row like '1,1,3,4,5'."""
     values = [int(tok) for tok in text.replace(",", " ").split()]
@@ -135,6 +156,8 @@ def parse_transformation(text, n=None):
         raise ValueError("empty transformation text")
     if n is not None and len(values) != n:
         raise ValueError("expected %d images, got %d" % (n, len(values)))
+    if any(not 1 <= v <= len(values) for v in values):
+        raise ValueError("image values must lie in 1..%d" % len(values))
     return Transformation(v - 1 for v in values)
 
 
@@ -154,14 +177,64 @@ def omega_power(a):
     raise ArithmeticError("no idempotent power found for %s" % a.text())
 
 
-class TransSemigroup:
-    def __init__(self, degree, elements, description=""):
-        self.degree = degree
-        self.elements = elements
-        self.description = description
+class RowSet(Set):
+    """A read-only set of Transformations held as the frozenset `rows` of
+    their image rows.  Iteration yields Transformations; membership and
+    comparisons with another RowSet read the rows alone, and comparisons
+    with a plain set of Transformations work from either side."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(_from_row, self.rows)
+
+    def __contains__(self, item):
+        return isinstance(item, Transformation) and item.row in self.rows
+
+    # Set derives ==, < and > from these two
+    def __le__(self, other):
+        if isinstance(other, RowSet):
+            return self.rows <= other.rows
+        return Set.__le__(self, other)
+
+    def __ge__(self, other):
+        if isinstance(other, RowSet):
+            return self.rows >= other.rows
+        return Set.__ge__(self, other)
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+
+class TransSemigroup:
+    """A semigroup of maps on `degree` points, held as the frozenset `rows`
+    of their image rows.  The constructor takes the Transformations;
+    `from_rows` takes rows of that degree as they are."""
+
+    def __init__(self, degree, elements, description=""):
+        self.degree = degree
+        self.rows = frozenset(t.row for t in elements)
+        self.description = description
+
+    @classmethod
+    def from_rows(cls, degree, rows, description=""):
+        s = object.__new__(cls)
+        s.degree, s.rows, s.description = degree, frozenset(rows), description
+        return s
+
+    @property
+    def elements(self):
+        return RowSet(self.rows)
+
+    def __len__(self):
+        return len(self.rows)
 
     def __contains__(self, item):
         return item in self.elements
@@ -170,12 +243,18 @@ class TransSemigroup:
         return iter(self.elements)
 
     def sorted_texts(self):
-        return sorted(t.text() for t in self.elements)
+        return sorted(t.text() for t in self)
 
     def is_closed(self):
         """Whether the product of every ordered pair of elements is one."""
-        return all(x * y in self.elements
-                   for x in self.elements for y in self.elements)
+        rows = self.rows
+        return all(x.translate(table) in rows
+                   for table in map(point_table, rows) for x in rows)
+
+
+def _close(rows, cap):
+    """The rows of the semigroup the rows generate."""
+    return walk(rows, point_steps(rows), cap, EnumerationCapExceeded)
 
 
 def closure(gens, cap=DEFAULT_SEMIGROUP_CAP, description=""):
@@ -186,10 +265,9 @@ def closure(gens, cap=DEFAULT_SEMIGROUP_CAP, description=""):
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators must share a degree")
-    rows = [g.row for g in gens]
-    seen = walk(rows, point_steps(rows), cap, EnumerationCapExceeded)
-    return TransSemigroup(degree, frozenset(map(_from_row, seen)),
-                          description or "closure of %d generators" % len(gens))
+    return TransSemigroup.from_rows(
+        degree, _close([g.row for g in gens], cap),
+        description or "closure of %d generators" % len(gens))
 
 
 def generate_arc_set(maps, group, cap=DEFAULT_SEMIGROUP_CAP):
@@ -215,16 +293,15 @@ def generate_arc_set(maps, group, cap=DEFAULT_SEMIGROUP_CAP):
     seen = walk((identity,), point_steps([a.row for a in maps]) + group_steps,
                 cap, EnumerationCapExceeded)
     seen -= walk((identity,), group_steps, cap, EnumerationCapExceeded)
-    return TransSemigroup(n, frozenset(map(_from_row, seen)),
-                          "non-units of <%d maps, %s>"
-                          % (len(maps), group.name))
+    return TransSemigroup.from_rows(n, seen, "non-units of <%d maps, %s>"
+                                    % (len(maps), group.name))
 
 
 def generate_arc(a, group, cap=DEFAULT_SEMIGROUP_CAP):
     """All non-bijective elements of the monoid generated by a and the group."""
     s = generate_arc_set([a], group, cap=cap)
-    return TransSemigroup(s.degree, s.elements,
-                          "non-units of <%s, %s>" % (a.text(), group.name))
+    s.description = "non-units of <%s, %s>" % (a.text(), group.name)
+    return s
 
 
 def generate_conjugates(a, group, cap=DEFAULT_SEMIGROUP_CAP):
@@ -240,10 +317,9 @@ def generate_conjugates(a, group, cap=DEFAULT_SEMIGROUP_CAP):
     conj = {encode_points(g.inverse().images, n).translate(table)
             .translate(point_table(g.images))
             for g in enumerate_elements(group)}
-    gens = [_from_row(row) for row in sorted(conj)]
-    return closure(gens, cap=cap,
-                   description="conjugate closure of %s over %s"
-                               % (a.text(), group.name))
+    return TransSemigroup.from_rows(n, _close(sorted(conj), cap),
+                                    "conjugate closure of %s over %s"
+                                    % (a.text(), group.name))
 
 
 def sn_normal_membership(b, a):
@@ -265,7 +341,7 @@ def sn_normal_membership(b, a):
 
 
 def idempotents(semigroup):
-    return {x for x in semigroup if x * x == x}
+    return {_from_row(x) for x in semigroup.rows if _is_idempotent(x)}
 
 
 def is_regular(semigroup):
@@ -279,19 +355,21 @@ def is_regular(semigroup):
     to an image set is the set's row translated through y.
     """
     n = semigroup.degree
-    restrictions = {x.image_set: set() for x in semigroup}
+    rows = semigroup.rows
+    restrictions = {_image_set(x): set() for x in rows}
     image_rows = [(encode_points(image, n), bucket)
                   for image, bucket in restrictions.items()]
-    for y in semigroup:
-        table = point_table(y.row)
+    for y in rows:
+        table = point_table(y)
         for image_row, bucket in image_rows:
             bucket.add(image_row.translate(table))
-    for x in semigroup:
+    for x in rows:
         fibers = {}
-        for point, value in enumerate(x.row):
+        for point, value in enumerate(x):
             fibers.setdefault(value, []).append(point)
-        sections = product(*(fibers[z] for z in x.image_set))
-        bucket = restrictions[x.image_set]
+        image = _image_set(x)
+        sections = product(*(fibers[z] for z in image))
+        bucket = restrictions[image]
         if not any(encode_points(section, n) in bucket
                    for section in sections):
             return False
@@ -305,20 +383,24 @@ def is_idempotent_generated(semigroup, cap=DEFAULT_SEMIGROUP_CAP):
     taken is the closure of them all.  (Closing after each idempotent
     instead takes fewer generators but more closures: 2.8 times the time
     on an arc of 105 maps with 25 idempotents.)"""
+    def rank(row):
+        return len(set(row))
+
     gens = []
     elements = frozenset()
-    ids = sorted(idempotents(semigroup), key=lambda t: (-t.rank, t.row))
-    for _, same_rank in groupby(ids, key=lambda t: t.rank):
+    ids = sorted((x for x in semigroup.rows if _is_idempotent(x)),
+                 key=lambda x: (-rank(x), x))
+    for _, same_rank in groupby(ids, key=rank):
         missed = [e for e in same_rank if e not in elements]
         if missed:
             gens += missed
-            elements = closure(gens, cap=cap).elements
-    return elements == semigroup.elements
+            elements = _close(gens, cap)
+    return elements == semigroup.rows
 
 
 def contains_all_constants(semigroup):
     n = semigroup.degree
-    return all(Transformation.constant(n, v) in semigroup for v in range(n))
+    return all(encode_points([v] * n, n) in semigroup.rows for v in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +461,7 @@ def green_checks(semigroup, a, b):
     """
     if a not in semigroup or b not in semigroup:
         raise ValueError("both elements must belong to the semigroup")
-    rows = [t.row for t in semigroup]
+    rows = semigroup.rows
     tables = list(map(point_table, rows))
     r = GreenVerdict("R",
                      _right_ideal(tables, a.row) == _right_ideal(tables, b.row),
@@ -413,10 +495,18 @@ def local_group_at(semigroup, e):
     """The maximal subgroup candidate at an idempotent: same kernel and image."""
     if e not in semigroup:
         raise ValueError("idempotent must belong to the semigroup")
-    if e * e != e:
+    if not _is_idempotent(e.row):
         raise ValueError("element is not idempotent")
-    members = {x for x in semigroup
-               if x.image_set == e.image_set and x.kernel == e.kernel}
-    closed = all((x * y) in members for x in members for y in members)
-    has_identity = all(x * e == x and e * x == x for x in members)
-    return members, LocalGroupReport(len(members), e.rank, closed, has_identity)
+    image, kernel = e.image_set, e.kernel
+    e_table = point_table(e.row)
+    # x e = x holds where im(x) lies in im(e): a cheap first sieve
+    members = {x for x in semigroup.rows if x.translate(e_table) == x
+               and _image_set(x) == image and _kernel(x) == kernel}
+    tables = list(map(point_table, members))
+    closed = all(x.translate(table) in members
+                 for x in members for table in tables)
+    has_identity = all(x.translate(e_table) == x
+                       and e.row.translate(table) == x
+                       for x, table in zip(members, tables))
+    return ({_from_row(x) for x in members},
+            LocalGroupReport(len(members), e.rank, closed, has_identity))

@@ -259,6 +259,19 @@ def test_oracle_semigroup(capsys):
     assert payload["group_closure"] == 3005
     assert payload["symmetric_closure"] == 3005
     assert payload["equal"] is True
+    code, out, _ = invoke(capsys, "oracle-semigroup", "--group", "agl1:5",
+                          "--map", "1,1,3,4,5")
+    assert code == 0
+    assert out.splitlines() == ["group-closure 3005", "symmetric-closure 3005",
+                                "equal true"]
+
+
+@pytest.mark.parametrize("verb", ["oracle-semigroup", "check-pair"])
+@pytest.mark.parametrize("images", ["1,1,4", "0,1,2"])
+def test_map_out_of_range_names_the_one_based_range(capsys, verb, images):
+    code, out, err = invoke(capsys, verb, "--group", "s:3", "--map", images)
+    assert code == 2 and out == ""
+    assert err == "error: image values must lie in 1..3\n"
 
 
 def test_oracle_semigroup_proper_subset(capsys):

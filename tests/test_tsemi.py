@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parthom import tsemi
 from parthom.catalog import build_group, catalog_entries
 from parthom.partitions import (
     act_set_partition,
@@ -24,7 +25,8 @@ from parthom.partitions import (
     integer_partitions,
     refines,
 )
-from parthom.perm import EnumerationCapExceeded, WideRow, enumerate_elements
+from parthom.perm import (EnumerationCapExceeded, Permutation, WideRow,
+                          enumerate_elements)
 from parthom.snpairs import is_sn_pair
 from parthom.tsemi import (
     TransSemigroup,
@@ -113,6 +115,16 @@ def test_parse_rejects():
         Transformation([0, 4, 1])
     with pytest.raises(ValueError):
         Transformation([])
+
+
+def test_parse_names_the_one_based_range():
+    # the text is 1-based, so its error is too; the constructor's stays
+    # 0-based
+    for text in ("1,1,4", "0,1,2"):
+        with pytest.raises(ValueError, match=r"must lie in 1\.\.3$"):
+            parse_transformation(text)
+    with pytest.raises(ValueError, match=r"must lie in 0\.\.2$"):
+        Transformation([0, 3, 1])
 
 
 def test_cached_structure():
@@ -854,6 +866,65 @@ def test_green_rejects_foreign_elements():
     with pytest.raises(ValueError):
         green_checks(s, Transformation.constant(3, 0),
                      parse_transformation("1,2,3"))
+
+
+def test_arcs_and_structure_checks_make_no_map_per_element(monkeypatch):
+    """Arcs, their comparison and the structure checks work on image rows:
+    they make at most one Transformation per idempotent, not one per
+    element (3,005 per arc here)."""
+    made = []
+    from_row, init = tsemi._from_row, Transformation.__init__
+    monkeypatch.setattr(tsemi, "_from_row",
+                        lambda row: made.append(row) or from_row(row))
+    monkeypatch.setattr(Transformation, "__init__",
+                        lambda self, images: made.append(images)
+                        or init(self, images))
+    over_sym = generate_arc(MAP_A5, build_group("s:5"))
+    over_group = generate_arc(MAP_A5, build_group("agl1:5"))
+    equal = over_group.elements == over_sym.elements
+    regular = is_regular(over_group)
+    generated = is_idempotent_generated(over_group)
+    monkeypatch.undo()
+    assert len(over_group) == 3005 and equal and regular and generated
+    assert len(made) <= len(idempotents(over_group)) == 195
+
+
+FOREIGN = [Permutation.identity(3), b"\x00\x01\x02", b"\x00\x00\x00",
+           Transformation.identity(4), Transformation.constant(4, 0)]
+
+
+@pytest.mark.parametrize("foreign", FOREIGN, ids=repr)
+def test_foreign_elements_are_not_members(foreign):
+    """A permutation, a raw row and a map of another degree are neither in
+    a semigroup nor in its elements, and the checks that take elements
+    refuse them, although the identity and the constant map 1,1,1 are in
+    it."""
+    s = closure([Transformation.identity(3), Transformation.constant(3, 0)])
+    assert Transformation.identity(3) in s.elements
+    assert foreign not in s and foreign not in s.elements
+    with pytest.raises(ValueError):
+        green_checks(s, foreign, Transformation.identity(3))
+    with pytest.raises(ValueError):
+        green_checks(s, Transformation.identity(3), foreign)
+    with pytest.raises(ValueError):
+        local_group_at(s, foreign)
+
+
+def test_elements_compare_with_plain_sets_from_either_side():
+    small = generate_arc(MAP_B5, build_group("agl1:5"))
+    big = generate_arc(MAP_B5, build_group("s:5"))
+    assert len(small) < len(big)
+    for arc in (small, big):
+        plain = frozenset(arc)
+        assert arc.elements == plain and plain == arc.elements
+        assert arc.elements <= plain and plain <= arc.elements
+        assert not arc.elements < plain and not plain < arc.elements
+        assert arc.elements != plain - {min(plain, key=lambda t: t.row)}
+    assert small.elements < frozenset(big) and frozenset(small) < big.elements
+    assert big.elements > frozenset(small) and frozenset(big) > small.elements
+    assert not big.elements <= frozenset(small)
+    assert not frozenset(big) <= small.elements
+    assert small.elements != big.elements and small.elements < big.elements
 
 
 # ---------------------------------------------------------------------------
