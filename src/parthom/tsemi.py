@@ -4,24 +4,26 @@ All maps act on the right, matching the permutation convention: x*(a b)
 means apply a, then b.  A transformation is stored, hashed and compared as
 its 0-based image row: `bytes` up to degree 256, a `perm.WideRow` above.
 Right multiplication by b is `row.translate(perm.point_table(b.row))`, so
-products compose in C.  Every generation routine is a breadth-first walk
-over generator words on rows (`perm.walk` with `perm.point_steps`), so the
-resulting element set is independent of insertion order.
+products compose in C.  Closures and conjugate closures are breadth-first
+walks over generator words on rows (`perm.walk` with `perm.point_steps`);
+`generate_arc_set` enumerates the group's rows once and builds the
+non-units one G x G double class at a time.  Either way the element set
+does not depend on the order in which elements are found.
 
-A semigroup holds the frozenset of its elements' rows, as the walk returns
-them, and the closures, arcs and structure checks work on those rows.  A
-`Transformation` is made only at the edge: when a semigroup is iterated,
-when its elements are listed as text, and in the sets that `idempotents`
-and `local_group_at` return.  `TransSemigroup.elements` is a read-only set
-view of the rows that yields `Transformation`s and compares with plain sets
-of them.
+A semigroup holds the set of its elements' rows as the generation routine
+built it, and never changes it afterwards; the closures, arcs and
+structure checks work on those rows.  A `Transformation` is made only at
+the edge: when a semigroup is iterated, when its elements are listed as
+text, and in the sets that `idempotents` and `local_group_at` return.
+`TransSemigroup.elements` is a read-only set view of the rows that yields
+`Transformation`s and compares with plain sets of them.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Set
-from itertools import groupby, product
+from itertools import groupby, product, repeat
 from typing import NamedTuple
 
 from .partitions import canon_set_partition, coarsening_feasible, partition_shape
@@ -178,8 +180,8 @@ def omega_power(a):
 
 
 class RowSet(Set):
-    """A read-only set of Transformations held as the frozenset `rows` of
-    their image rows.  Iteration yields Transformations; membership and
+    """A read-only set of Transformations held as the set `rows` of their
+    image rows.  Iteration yields Transformations; membership and
     comparisons with another RowSet read the rows alone, and comparisons
     with a plain set of Transformations work from either side."""
 
@@ -214,9 +216,10 @@ class RowSet(Set):
 
 
 class TransSemigroup:
-    """A semigroup of maps on `degree` points, held as the frozenset `rows`
-    of their image rows.  The constructor takes the Transformations;
-    `from_rows` takes rows of that degree as they are."""
+    """A semigroup of maps on `degree` points, held as the set `rows` of
+    their image rows.  The constructor takes the Transformations;
+    `from_rows` keeps the set of rows of that degree it is handed, without
+    a copy, so the caller must not change that set afterwards."""
 
     def __init__(self, degree, elements, description=""):
         self.degree = degree
@@ -226,7 +229,7 @@ class TransSemigroup:
     @classmethod
     def from_rows(cls, degree, rows, description=""):
         s = object.__new__(cls)
-        s.degree, s.rows, s.description = degree, frozenset(rows), description
+        s.degree, s.rows, s.description = degree, rows, description
         return s
 
     @property
@@ -273,10 +276,26 @@ def closure(gens, cap=DEFAULT_SEMIGROUP_CAP, description=""):
 def generate_arc_set(maps, group, cap=DEFAULT_SEMIGROUP_CAP):
     """All non-bijective elements of the monoid the maps and group generate.
 
-    Walks the monoid from the identity by right-multiplying with the maps and
-    the group generators; every word containing a non-bijective map drops
-    rank, so the non-permutation part is exactly what the maps add, and the
-    units are the group itself, which the group generators alone walk.
+    Every word with a map in it drops rank, so the non-units are the
+    products g0 a1 g1 ... ak gk with k >= 1 maps ai and group elements gi,
+    and the units are the group.  The non-units are therefore a union of
+    double classes G y G, and they are built one class at a time from a
+    queue of representatives that starts with the maps.  After the class of
+    y, the products w a for each map a and each w in y G are queued.  That
+    reaches every class: a non-unit g y h of the class of y stays in it
+    when multiplied by a group element, and multiplied by a map a it is
+    g (y h a), in the class of y h a, which was queued since y h lies in
+    y G.
+
+    A class is the union of the right classes z G over z in G y.  Each such
+    z has the image of y, and z g depends only on the restriction of g to
+    that image, so z G is z translated through one of G's own tables per
+    distinct restriction, and the same tables serve the whole class.  G's
+    rows are enumerated once, and every product is a `translate` in C.
+
+    Raises EnumerationCapExceeded if and only if |G| plus the number of
+    non-units exceeds `cap`.  The count is checked each time a right class
+    joins, so the rows held never pass the cap by more than |G|.
     """
     maps = list(maps)
     if not maps:
@@ -289,11 +308,32 @@ def generate_arc_set(maps, group, cap=DEFAULT_SEMIGROUP_CAP):
                              % (a.degree, group.degree))
     n = group.degree
     identity = encode_points(range(n), n)
-    group_steps = point_steps(group.raw_gens())
-    seen = walk((identity,), point_steps([a.row for a in maps]) + group_steps,
-                cap, EnumerationCapExceeded)
-    seen -= walk((identity,), group_steps, cap, EnumerationCapExceeded)
-    return TransSemigroup.from_rows(n, seen, "non-units of <%d maps, %s>"
+    translate = type(identity).translate
+    g_rows = list(walk((identity,), point_steps(group.raw_gens()), cap,
+                       EnumerationCapExceeded))
+    g_tables = list(map(point_table, g_rows))
+    map_tables = [point_table(a.row) for a in maps]
+    room = cap - len(g_rows)
+    arc = set()
+    queue = [a.row for a in maps]
+    while queue:
+        y = queue.pop()
+        if y in arc:
+            continue
+        image = encode_points(_image_set(y), n)
+        tables = dict(zip(map(image.translate, g_tables), g_tables)).values()
+        right = list(map(y.translate, tables))
+        for z in set(map(translate, g_rows, repeat(point_table(y)))):
+            if z not in arc:
+                arc.update(map(z.translate, tables))
+                if len(arc) > room:
+                    raise EnumerationCapExceeded(
+                        "walk stopped at the cap of %d states (%d states "
+                        "visited, %d in the frontier being expanded)"
+                        % (cap, cap, len(queue) + 1))
+        for table in map_tables:
+            queue += set(map(translate, right, repeat(table))) - arc
+    return TransSemigroup.from_rows(n, arc, "non-units of <%d maps, %s>"
                                     % (len(maps), group.name))
 
 

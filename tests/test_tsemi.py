@@ -25,9 +25,9 @@ from parthom.partitions import (
     integer_partitions,
     refines,
 )
-from parthom.perm import (EnumerationCapExceeded, Permutation, WideRow,
-                          enumerate_elements)
-from parthom.snpairs import is_sn_pair
+from parthom.perm import (EnumerationCapExceeded, Permutation, PermGroup,
+                          WideRow, enumerate_elements)
+from parthom.snpairs import is_independent, is_sn_pair
 from parthom.tsemi import (
     TransSemigroup,
     Transformation,
@@ -321,6 +321,25 @@ def test_generate_arc_set_cap_boundary():
         assert 0 < frontier < size
 
 
+def test_generate_arc_set_cap_counts_units_and_non_units():
+    # raises for every cap below |G| + |arc| and for none from there on,
+    # whether the group's own walk or a double class crosses the cap
+    group = build_group("d:5")
+    for maps in ([Transformation.constant(5, 0)],
+                 [first_of_type(5, (3, 1, 1)), first_of_type(5, (2, 2, 1))]):
+        size = len(generate_arc_set(maps, group)) + group.order()
+        for cap in range(1, size + 2):
+            if cap < size:
+                with pytest.raises(EnumerationCapExceeded,
+                                   match="walk stopped at the cap of %d "
+                                         "states \\(%d states visited"
+                                   % (cap, cap)):
+                    generate_arc_set(maps, group, cap=cap)
+            else:
+                assert len(generate_arc_set(maps, group, cap=cap)) \
+                    == size - group.order()
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 3).flatmap(lambda n: st.lists(
     st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
@@ -418,7 +437,10 @@ def test_row_walks_match_plain_walk_to_degree_five(entry):
         check_walks_against_plain(first_of_type(n, shape), entry.group)
 
 
-@pytest.mark.parametrize("spec", ["s:6", "pgl2:5"])
+DEGREE_SIX = [e.spec for e in catalog_entries(6) if e.group.degree == 6]
+
+
+@pytest.mark.parametrize("spec", DEGREE_SIX)
 def test_row_walks_match_plain_walk_degree_six(spec):
     group = build_group(spec)
     rng = random.Random(spec)
@@ -430,6 +452,88 @@ def test_row_walks_match_plain_walk_degree_six(spec):
         # ranks 1 and 2 are checked here (degree 5 covers every rank)
         check_walks_against_plain(Transformation(images), group,
                                   conjugates=len(shape) <= 2)
+
+
+def plain_arc(maps, group):
+    """The non-units of the monoid the maps and the group generate, from
+    plain_walk: the reference for generate_arc_set."""
+    n = group.degree
+    monoid = plain_walk([tuple(range(n))],
+                        [a.images for a in maps] + group.raw_gens())
+    return as_maps(t for t in monoid if len(set(t)) < n)
+
+
+@pytest.mark.parametrize("spec", ["agl1:5", "d:5", "d:6", "psl2:5"])
+def test_arc_of_an_independent_pair_matches_plain_walk(spec):
+    # neither kernel type coarsens into the other, so neither map's arc
+    # holds the other map, and the queue starts with two classes
+    group = build_group(spec)
+    n = group.degree
+    maps = [first_of_type(n, (3,) + (1,) * (n - 3)),
+            Transformation([1, 0, 1, 0] + list(range(4, n)))]
+    assert is_independent(maps)
+    arc = generate_arc_set(maps, group)
+    assert arc.elements == plain_arc(maps, group)
+    for a in maps:
+        assert len(generate_arc(a, group)) < len(arc)
+
+
+def test_degree_300_arc_matches_plain_walk():
+    # a group of order 6 that moves points 0-4 and 297-299, and a map that
+    # folds 0 onto 1 and 298 onto 297: every row of the arc is a WideRow
+    n = 300
+    group = PermGroup(n, [Permutation.from_cycles(
+        n, [(1, 2, 3), (4, 5), (298, 299, 300)])], name="c6 on 300")
+    assert group.order() == 6
+    images = list(range(n))
+    images[0], images[298] = 1, 297
+    a = Transformation(images)
+    arc = generate_arc_set([a], group)
+    assert all(type(row) is WideRow for row in arc.rows)
+    assert arc.elements == plain_arc([a], group)
+    assert len(arc) > 6
+
+
+def double_class_representatives(group):
+    """One singular map of degree n per orbit of G x G, acting by
+    x -> g x h, as image rows, with the orbits found by brute force."""
+    n = group.degree
+    g_rows = [bytes(g.images) for g in enumerate_elements(group)]
+    g_tables = [g.ljust(256, b"\0") for g in g_rows]
+    seen, reps = set(), []
+    for images in product(range(n), repeat=n):
+        x = bytes(images)
+        if x in seen or len(set(x)) == n:
+            continue
+        reps.append(x)
+        table = x.ljust(256, b"\0")
+        seen.update(gx.translate(h) for gx in {g.translate(table)
+                                               for g in g_rows}
+                    for h in g_tables)
+    assert len(seen) == n ** n - math.factorial(n)
+    return reps
+
+
+@pytest.mark.slow
+def test_every_degree_six_map_decides_its_pair_by_its_arc():
+    """ROADMAP direction 3: gah generates with G what a does, so one arc per
+    G x G orbit on the 45,936 singular maps of degree 6 covers them all.
+    For each catalog group of degree 6 and each orbit, the arc equals the
+    S_6 arc of the same kernel type exactly when is_sn_pair accepts."""
+    sym = build_group("s:6")
+    sym_arcs = {shape: generate_arc(first_of_type(6, shape), sym).rows
+                for shape in singular_types(6)}
+    orbits = {}
+    for spec in DEGREE_SIX:
+        group = build_group(spec)
+        reps = double_class_representatives(group)
+        orbits[spec] = len(reps)
+        for row in reps:
+            a = Transformation(row)
+            equal = generate_arc(a, group).rows == sym_arcs[a.kernel_type]
+            assert equal == is_sn_pair(a, group).verdict, (spec, a.text())
+    assert orbits == {"s:6": 10, "a:6": 10, "pgl2:5": 15, "psl2:5": 30,
+                      "d:6": 400, "c:6": 1292}
 
 
 def test_is_closed_detects_holes():
