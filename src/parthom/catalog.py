@@ -12,7 +12,6 @@ elements in their integer encoding order.
 
 from __future__ import annotations
 
-import math
 import os
 from pathlib import Path
 from typing import NamedTuple
@@ -91,25 +90,15 @@ def agl1(q):
 
 
 def agammal1(q):
-    f = GF(q)
-    translate = Permutation(f.add(x, f.one) for x in range(q))
-    scale = Permutation(f.mul(x, f.alpha) for x in range(q))
-    frob = Permutation(f.frobenius(x) for x in range(q))
-    return PermGroup(q, [translate, scale, frob], name="AGammaL(1,%d)" % q)
+    frob = Permutation(map(GF(q).frobenius, range(q)))
+    return PermGroup(q, agl1(q).generators + (frob,),
+                     name="AGammaL(1,%d)" % q)
 
 
 def _line_indexing(f):
     """Projective line order: 0, alpha^0, ..., alpha^(q-2), infinity last."""
-    q = f.q
-    element_at = [0] + [0] * (q - 1)
-    x = 1
-    for k in range(q - 1):
-        element_at[1 + k] = x
-        x = f.mul(x, f.alpha)
-    index_of = {0: 0}
-    for i in range(1, q):
-        index_of[element_at[i]] = i
-    return element_at, index_of
+    element_at = [0] + sorted(f.log, key=f.log.get)
+    return element_at, {e: i for i, e in enumerate(element_at)}
 
 
 def _line_perm(f, finite_map, zero_to, inf_to, index_of, element_at):
@@ -123,8 +112,7 @@ def _line_perm(f, finite_map, zero_to, inf_to, index_of, element_at):
     images[0] = zero_to
     images[q] = inf_to
     for i in range(1, q):
-        e = finite_map(element_at[i])
-        images[i] = q if e is None else index_of[e]
+        images[i] = index_of[finite_map(element_at[i])]
     return Permutation(images)
 
 
@@ -132,35 +120,31 @@ def pgl2(q):
     return PermGroup(q + 1, _pgl2_generators(GF(q)), name="PGL(2,%d)" % q)
 
 
-def _pgl2_generators(f):
-    """x -> x+1, x -> alpha*x and x -> 1/x on the projective line of f."""
+def _pgl2_generators(f, factor=None, invert=None):
+    """x -> x+1, x -> factor*x and x -> invert(x), which swaps 0 and
+    infinity, on the projective line of f; without factor and invert, x ->
+    alpha*x and x -> 1/x."""
+    if factor is None:
+        factor, invert = f.alpha, f.inv
     element_at, index_of = _line_indexing(f)
-    q = f.q
-    inf = q
+    inf = f.q
     translate = _line_perm(f, lambda e: f.add(e, f.one),
                            index_of[f.one], inf, index_of, element_at)
-    scale = _line_perm(f, lambda e: f.mul(e, f.alpha),
+    scale = _line_perm(f, lambda e: f.mul(e, factor),
                        0, inf, index_of, element_at)
-    invert = _line_perm(f, lambda e: f.inv(e), inf, 0, index_of, element_at)
-    return [translate, scale, invert]
+    return [translate, scale,
+            _line_perm(f, invert, inf, 0, index_of, element_at)]
 
 
 def psl2(q):
     f = GF(q)
     if f.p == 2:
         # the two groups coincide in characteristic 2
-        return PermGroup(q + 1, _pgl2_generators(f), name="PSL(2,%d)" % q)
-    element_at, index_of = _line_indexing(f)
-    inf = q
-    alpha2 = f.mul(f.alpha, f.alpha)
-    translate = _line_perm(f, lambda e: f.add(e, f.one),
-                           index_of[f.one], inf, index_of, element_at)
-    scale = _line_perm(f, lambda e: f.mul(e, alpha2),
-                       0, inf, index_of, element_at)
-    neg_invert = _line_perm(f, lambda e: f.neg(f.inv(e)),
-                            inf, 0, index_of, element_at)
-    return PermGroup(q + 1, [translate, scale, neg_invert],
-                     name="PSL(2,%d)" % q)
+        gens = _pgl2_generators(f)
+    else:
+        gens = _pgl2_generators(f, f.mul(f.alpha, f.alpha),
+                                lambda e: f.neg(f.inv(e)))
+    return PermGroup(q + 1, gens, name="PSL(2,%d)" % q)
 
 
 def pgammal2(q):
@@ -313,11 +297,9 @@ def catalog_entries(max_degree=12, include_sym_alt=True):
 
     def add(spec):
         group = build_group(spec)
-        if not spec.startswith(("s:", "a:")):
-            n = group.degree
-            full = math.factorial(n)
-            if group.order() in (full, full // 2):
-                return
+        if not spec.startswith(("s:", "a:")) and \
+                group.is_symmetric_or_alternating():
+            return
         entries.append(CatalogEntry(spec, group))
 
     for n in range(2, max_degree + 1):

@@ -227,9 +227,6 @@ class GF:
                 return b
         raise ArithmeticError("no additive inverse for %d" % a)
 
-    def sub(self, a, b):
-        return self.add_table[a][self.neg(b)]
-
     def mul(self, a, b):
         return self.mul_table[a][b]
 
@@ -239,8 +236,7 @@ class GF:
         return self.inv_table[a]
 
     def power(self, a, k):
-        if k < 0:
-            return self.power(self.inv(a), -k)
+        """a^k for k >= 0."""
         out = 1
         while k:
             if k & 1:

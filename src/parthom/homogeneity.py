@@ -14,11 +14,11 @@ reads start from the canonical first object of the relevant kind.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple
 
 from .partitions import (
+    check_shape,
     count_ordered,
     count_unordered,
     format_int_partition,
@@ -48,21 +48,6 @@ class QueryResult:
             "orbit_size": self.orbit_size,
             "method": self.method,
         }
-
-
-class HomogeneityReport:
-    def __init__(self, group):
-        self.group = group
-        self.results = []
-
-    def add(self, result):
-        self.results.append(result)
-        return result
-
-    def to_json(self, indent=None):
-        payload = {"group": self.group,
-                   "queries": [r.as_dict() for r in self.results]}
-        return json.dumps(payload, indent=indent)
 
 
 def _order_refutes(group, expected, query):
@@ -124,12 +109,18 @@ def _read_chain(group, plan, expected, query):
     return QueryResult(query, size == expected, expected, size, METHOD_CHAIN)
 
 
-def decide_t_homogeneous(group, t):
-    """t-transitivity, which the chain shows, settles t-homogeneity too;
-    otherwise the orbit of {0, ..., t-1} is read off the chain."""
+def _check_t(group, t):
+    """The group's degree n, once t is checked to lie in 0..n."""
     n = group.degree
     if not 0 <= t <= n:
         raise ValueError("t must be between 0 and %d, got %d" % (n, t))
+    return n
+
+
+def decide_t_homogeneous(group, t):
+    """t-transitivity, which the chain shows, settles t-homogeneity too;
+    otherwise the orbit of {0, ..., t-1} is read off the chain."""
+    n = _check_t(group, t)
     query = "%d-homogeneous" % t
     t = min(t, n - t)    # orbits on t-sets and their complements agree
     expected = math.comb(n, t)
@@ -146,9 +137,7 @@ def decide_t_homogeneous(group, t):
 def decide_t_transitive(group, t):
     """The orbit of the tuple (0, ..., t-1) is read off the stabilizer chain,
     whose base starts 0, 1, ..., t-1."""
-    n = group.degree
-    if not 0 <= t <= n:
-        raise ValueError("t must be between 0 and %d, got %d" % (n, t))
+    n = _check_t(group, t)
     query = "%d-transitive" % t
     if t == 0:
         return QueryResult(query, True, 1, None, METHOD_SHORTCUT)
@@ -161,7 +150,7 @@ def decide_t_transitive(group, t):
 
 
 def decide_lambda_homogeneous(group, lam):
-    lam = _check_shape(group, lam)
+    lam = check_shape(lam, group.degree)
     query = "lambda-homogeneous %s" % format_int_partition(lam)
     if all(k == 1 for k in lam):
         # the partition into singletons is unique, so every group works
@@ -171,7 +160,7 @@ def decide_lambda_homogeneous(group, lam):
 
 
 def decide_lambda_transitive(group, lam):
-    lam = _check_shape(group, lam)
+    lam = check_shape(lam, group.degree)
     query = "lambda-transitive %s" % format_int_partition(lam)
     expected = count_ordered(lam)
     return _decide_partition(group, lam, True, expected, query)
@@ -185,16 +174,6 @@ def _decide_partition(group, lam, ordered, expected, query):
         return refuted
     plan = min(chain_plans(lam, ordered), key=lambda p: p.reorderings)
     return _read_chain(group, plan, expected, query)
-
-
-def _check_shape(group, lam):
-    lam = tuple(sorted(lam, reverse=True))
-    if sum(lam) != group.degree:
-        raise ValueError("partition %r does not sum to degree %d"
-                         % (lam, group.degree))
-    if any(k < 1 for k in lam):
-        raise ValueError("partition parts must be positive: %r" % (lam,))
-    return lam
 
 
 # boolean fronts
@@ -251,7 +230,7 @@ def is_standard_pair(group, lam):
     partitions of T of that shape, whose product is count_ordered(lam), so
     the orbit reaches count_ordered(lam) exactly when both factors are full.
     """
-    lam = _check_shape(group, lam)
+    lam = check_shape(lam, group.degree)
     n = group.degree
     if lam == (n,):
         raise ValueError("the one-block partition is excluded here")

@@ -21,6 +21,7 @@ transformation layer but reuses the same comma-separated style.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from itertools import combinations
 
@@ -30,15 +31,26 @@ def parse_int_partition(text, n=None):
 
     If n is given the parts must sum to n.
     """
-    parts = [int(tok) for tok in text.replace(",", " ").split()]
-    if not parts:
+    return check_shape([int(tok) for tok in text.replace(",", " ").split()],
+                       n)
+
+
+def check_shape(parts, n=None):
+    """The canonical integer partition with these parts, which must be
+    positive integers summing to n (any sum when n is None).  Each part goes
+    through `operator.index`, so a float or a string is refused rather than
+    truncated or parsed; every fault raises ValueError."""
+    try:
+        shape = tuple(sorted(map(operator.index, parts), reverse=True))
+    except TypeError:
+        raise ValueError("parts must be integers: %r" % (parts,)) from None
+    if not shape:
         raise ValueError("empty partition")
-    if any(p < 1 for p in parts):
-        raise ValueError("parts must be positive: %r" % text)
-    parts.sort(reverse=True)
-    if n is not None and sum(parts) != n:
-        raise ValueError("parts sum to %d, expected %d" % (sum(parts), n))
-    return tuple(parts)
+    if shape[-1] < 1:
+        raise ValueError("parts must be positive: %r" % (shape,))
+    if n is not None and sum(shape) != n:
+        raise ValueError("parts sum to %d, expected %d" % (sum(shape), n))
+    return shape
 
 
 def format_int_partition(parts):

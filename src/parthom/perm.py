@@ -533,6 +533,12 @@ class PermGroup:
     def order(self):
         return self.chain().order()
 
+    def is_symmetric_or_alternating(self):
+        """Whether the group is S_n or A_n on its points, read off its
+        order: A_n is the only subgroup of index 2 in S_n."""
+        full = math.factorial(self.degree)
+        return self.order() in (full, full // 2)
+
     def contains(self, perm):
         if perm.degree != self.degree:
             return False
@@ -661,30 +667,6 @@ def stabilizer_generators(group, seed, act, cap=DEFAULT_ORBIT_CAP):
                      name="stabilizer in %s" % group.name)
     stab._chain = chain
     return stab
-
-
-def induced_action(group, domain):
-    """Restrict the group to an invariant list of points (0-based).
-
-    The returned group acts on 0..len(domain)-1 by position.  A generator
-    moving any domain point outside the domain is an error.
-    """
-    index = {p: i for i, p in enumerate(domain)}
-    gens = []
-    seen = set()
-    for g in group.generators:
-        images = []
-        for p in domain:
-            q = g.images[p]
-            if q not in index:
-                raise ValueError(
-                    "domain not invariant: generator moves point %d out" % (p + 1))
-            images.append(index[q])
-        t = tuple(images)
-        if t not in seen:
-            seen.add(t)
-            gens.append(Permutation(t))
-    return PermGroup(len(domain), gens, name="induced from %s" % group.name)
 
 
 def burnside_orbit_count(group, domain, act, cap=DEFAULT_ENUM_CAP):

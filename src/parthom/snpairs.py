@@ -11,8 +11,6 @@ it.
 
 from __future__ import annotations
 
-import json
-import math
 from importlib import resources
 
 from .homogeneity import (
@@ -23,6 +21,7 @@ from .homogeneity import (
     is_t_transitive,
 )
 from .partitions import (
+    check_shape,
     coarsening_feasible,
     format_int_partition,
     integer_partitions,
@@ -66,12 +65,7 @@ def _shape_from(lam, degree):
                              % (lam.degree, degree))
         shape = lam.kernel_type
     else:
-        shape = tuple(sorted((int(p) for p in lam), reverse=True))
-        if not shape or any(p < 1 for p in shape):
-            raise ValueError("parts must be positive")
-        if sum(shape) != degree:
-            raise ValueError("parts sum to %d, expected %d"
-                             % (sum(shape), degree))
+        shape = check_shape(lam, degree)
     if shape[0] == 1:
         raise ValueError("not a singular kernel type")
     return shape
@@ -107,32 +101,13 @@ def classify_all(group, with_clauses=True):
 # symbolic classifier
 
 
-def _is_even(perm):
-    images = perm.images
-    seen = [False] * len(images)
-    cycles = 0
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        cycles += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x]
-    return (len(images) - cycles) % 2 == 0
-
-
 def symbolic_facts(group):
     """Everything the clause dispatch needs, computed once per group."""
     n = group.degree
-    order = group.order()
-    full = math.factorial(n)
-    sym_or_alt = order == full or (
-        2 * order == full and all(_is_even(g) for g in group.generators))
     return {
         "degree": n,
-        "order": order,
-        "symmetric_or_alternating": sym_or_alt,
+        "order": group.order(),
+        "symmetric_or_alternating": group.is_symmetric_or_alternating(),
         "homogeneous": {t: is_t_homogeneous(group, t)
                         for t in range(1, n)},
         "transitive": {t: is_t_transitive(group, t)
@@ -303,10 +278,6 @@ def verify_fixtures(tables=None):
             report["ok"] = False
         report["tables"].append(entry)
     return report
-
-
-def fixture_report_json(report):
-    return json.dumps(report, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

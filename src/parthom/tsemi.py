@@ -35,13 +35,9 @@ DEFAULT_SEMIGROUP_CAP = 10**6
 
 
 class Transformation:
-    """A map on n points, bijective or not, stored as its image row.
+    """A map on n points, bijective or not, stored as its image row."""
 
-    The kernel and the image set are computed on first use and kept in
-    their slots, which stay unset until then.
-    """
-
-    __slots__ = ("row", "_kernel", "_image")
+    __slots__ = ("row",)
 
     def __init__(self, images):
         images = as_points(images)
@@ -75,11 +71,7 @@ class Transformation:
 
     @property
     def image_set(self):
-        try:
-            return self._image
-        except AttributeError:
-            self._image = _image_set(self.row)
-            return self._image
+        return _image_set(self.row)
 
     @property
     def rank(self):
@@ -88,11 +80,7 @@ class Transformation:
     @property
     def kernel(self):
         """Fibers as a canonical set partition."""
-        try:
-            return self._kernel
-        except AttributeError:
-            self._kernel = _kernel(self.row)
-            return self._kernel
+        return _kernel(self.row)
 
     @property
     def kernel_type(self):
@@ -139,12 +127,18 @@ def _image_set(row):
     return tuple(sorted(set(row)))
 
 
-def _kernel(row):
-    """The fibers of the map with this row, as a canonical set partition."""
+def _fibers(row):
+    """The fibers of the map with this row: each image point mapped to the
+    list of the points sent to it, in increasing order."""
     fibers = {}
     for x, v in enumerate(row):
         fibers.setdefault(v, []).append(x)
-    return canon_set_partition(fibers.values())
+    return fibers
+
+
+def _kernel(row):
+    """The fibers of the map with this row, as a canonical set partition."""
+    return canon_set_partition(_fibers(row).values())
 
 
 def _is_idempotent(row):
@@ -273,6 +267,16 @@ def closure(gens, cap=DEFAULT_SEMIGROUP_CAP, description=""):
         description or "closure of %d generators" % len(gens))
 
 
+def _check_map(a, group):
+    """A map that arcs and conjugate closures take: singular, and of the
+    group's degree."""
+    if a.is_permutation():
+        raise ValueError("permutation given; maps must be non-bijective")
+    if a.degree != group.degree:
+        raise ValueError("degree mismatch: map on %d, group on %d"
+                         % (a.degree, group.degree))
+
+
 def generate_arc_set(maps, group, cap=DEFAULT_SEMIGROUP_CAP):
     """All non-bijective elements of the monoid the maps and group generate.
 
@@ -301,11 +305,7 @@ def generate_arc_set(maps, group, cap=DEFAULT_SEMIGROUP_CAP):
     if not maps:
         raise ValueError("need at least one transformation")
     for a in maps:
-        if a.is_permutation():
-            raise ValueError("permutation given; maps must be non-bijective")
-        if a.degree != group.degree:
-            raise ValueError("degree mismatch: map on %d, group on %d"
-                             % (a.degree, group.degree))
+        _check_map(a, group)
     n = group.degree
     identity = encode_points(range(n), n)
     translate = type(identity).translate
@@ -346,11 +346,7 @@ def generate_arc(a, group, cap=DEFAULT_SEMIGROUP_CAP):
 
 def generate_conjugates(a, group, cap=DEFAULT_SEMIGROUP_CAP):
     """Closure of all conjugates g^-1 a g over the group."""
-    if a.is_permutation():
-        raise ValueError("permutation given; a must be non-bijective")
-    if a.degree != group.degree:
-        raise ValueError("degree mismatch: map on %d, group on %d"
-                         % (a.degree, group.degree))
+    _check_map(a, group)
     # the row of g^-1 a g sends x to (x g^-1) a g
     n = a.degree
     table = point_table(a.row)
@@ -390,28 +386,22 @@ def is_regular(semigroup):
     x y x = x says exactly that y sends each image point z of x into the
     fiber of x over z, so regularity of x means: some section of the fibers
     of x over its image occurs as the restriction to im(x) of an element.
-    Restrictions are bucketed per distinct image set once, then each x only
-    probes its own fiber sections against the bucket.  The restriction of y
-    to an image set is the set's row translated through y.
+    The restrictions to an image set, the set's row translated through
+    every element's table, are bucketed the first time an x with that image
+    comes up, and each x probes its own fiber sections against its bucket.
     """
     n = semigroup.degree
-    rows = semigroup.rows
-    restrictions = {_image_set(x): set() for x in rows}
-    image_rows = [(encode_points(image, n), bucket)
-                  for image, bucket in restrictions.items()]
-    for y in rows:
-        table = point_table(y)
-        for image_row, bucket in image_rows:
-            bucket.add(image_row.translate(table))
-    for x in rows:
-        fibers = {}
-        for point, value in enumerate(x):
-            fibers.setdefault(value, []).append(point)
+    tables = list(map(point_table, semigroup.rows))
+    restrictions = {}
+    for x in semigroup.rows:
         image = _image_set(x)
-        sections = product(*(fibers[z] for z in image))
-        bucket = restrictions[image]
+        bucket = restrictions.get(image)
+        if bucket is None:
+            bucket = restrictions[image] = set(
+                map(encode_points(image, n).translate, tables))
+        fibers = _fibers(x)
         if not any(encode_points(section, n) in bucket
-                   for section in sections):
+                   for section in product(*(fibers[z] for z in image))):
             return False
     return True
 
@@ -542,11 +532,9 @@ def local_group_at(semigroup, e):
     # x e = x holds where im(x) lies in im(e): a cheap first sieve
     members = {x for x in semigroup.rows if x.translate(e_table) == x
                and _image_set(x) == image and _kernel(x) == kernel}
-    tables = list(map(point_table, members))
-    closed = all(x.translate(table) in members
-                 for x in members for table in tables)
+    closed = TransSemigroup.from_rows(semigroup.degree, members).is_closed()
     has_identity = all(x.translate(e_table) == x
-                       and e.row.translate(table) == x
-                       for x, table in zip(members, tables))
+                       and e.row.translate(point_table(x)) == x
+                       for x in members)
     return ({_from_row(x) for x in members},
             LocalGroupReport(len(members), e.rank, closed, has_identity))

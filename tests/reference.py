@@ -4,9 +4,9 @@
 through `walk`, the way element enumeration walks its rows.
 `walked_standard_pair` decides standardness from its definition, without
 the stabilizer-chain reads of `parthom.homogeneity`: it walks the orbit of
-a t-set, builds the t-set's setwise stabilizer, restricts it to the t-set,
-and walks the orbit of an ordered partition of the rest of the shape under
-the public `act_ordered_partition`.
+a t-set, builds the t-set's setwise stabilizer, restricts it to the t-set
+(`induced_action`), and walks the orbit of an ordered partition of the
+rest of the shape under the public `act_ordered_partition`.
 `restarted_schreier_sims` completes a chain by the plain scan: every time
 it climbs back to a level, it sifts that level's Schreier generators again
 from the first tree point and the first generator.  It shares `_absorb`,
@@ -26,10 +26,11 @@ from parthom.partitions import (
 from parthom.perm import (
     DEFAULT_ORBIT_CAP,
     OrbitCapExceeded,
+    PermGroup,
+    Permutation,
     StabilizerChain,
     _absorb,
     act_set,
-    induced_action,
     orbit,
     point_steps,
     stabilizer_generators,
@@ -41,6 +42,30 @@ def tuple_orbit(group, t):
     """The orbit of the tuple (0, ..., t-1), as a set of `bytes` rows."""
     return walk((bytes(range(t)),), point_steps(group.raw_gens()),
                 DEFAULT_ORBIT_CAP, OrbitCapExceeded)
+
+
+def induced_action(group, domain):
+    """Restrict the group to an invariant list of points (0-based).
+
+    The returned group acts on 0..len(domain)-1 by position.  A generator
+    moving any domain point outside the domain is an error.
+    """
+    index = {p: i for i, p in enumerate(domain)}
+    gens = []
+    seen = set()
+    for g in group.generators:
+        images = []
+        for p in domain:
+            q = g.images[p]
+            if q not in index:
+                raise ValueError(
+                    "domain not invariant: generator moves point %d out" % (p + 1))
+            images.append(index[q])
+        t = tuple(images)
+        if t not in seen:
+            seen.add(t)
+            gens.append(Permutation(t))
+    return PermGroup(len(domain), gens, name="induced from %s" % group.name)
 
 
 @lru_cache(maxsize=None)

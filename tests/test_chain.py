@@ -24,7 +24,7 @@ import random
 import pytest
 
 from parthom import perm
-from parthom.catalog import build_group, catalog_entries
+from parthom.catalog import build_group, catalog_entries, fix_point_extension
 from parthom.homogeneity import (
     METHOD_CHAIN,
     ChainPlan,
@@ -100,6 +100,39 @@ def test_random_groups_cover_intransitive_and_fixed_point_cases():
     transitive = [len(orbit(g, 0, act_point)) == g.degree for g, _ in RANDOM]
     assert 0 < sum(transitive) < len(RANDOM)
     assert any(orbit(g, 0, act_point) == {0} for g, _ in RANDOM)
+
+
+def _is_even(perm):
+    """Whether the permutation has even sign: n minus its cycle count is
+    even."""
+    seen = set()
+    cycles = 0
+    for start in range(perm.degree):
+        if start not in seen:
+            cycles += 1
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = perm.images[x]
+    return (perm.degree - cycles) % 2 == 0
+
+
+def test_symmetric_or_alternating_matches_parity_definition():
+    """The order test against the definition: order n!, or order n!/2 with
+    every generator even, on the catalog to degree 9, its fix+ extensions
+    and the random groups."""
+    groups = [e.group for e in CATALOG]
+    groups += [fix_point_extension(g) for g in groups]
+    groups += [g for g, _ in RANDOM]
+    verdicts = []
+    for group in groups:
+        full = math.factorial(group.degree)
+        order = group.order()
+        expected = order == full or (
+            2 * order == full and all(map(_is_even, group.generators)))
+        assert group.is_symmetric_or_alternating() == expected, group.name
+        verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def check_chain(group, elements):

@@ -5,11 +5,17 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parthom.catalog import build_group
+from parthom.homogeneity import (
+    decide_lambda_homogeneous,
+    decide_lambda_transitive,
+)
 from parthom.partitions import (
     act_ordered_partition,
     act_set_partition,
     canon_ordered_partition,
     canon_set_partition,
+    check_shape,
     coarsening_feasible,
     count_ordered,
     count_unordered,
@@ -25,6 +31,7 @@ from parthom.partitions import (
     partition_shape,
     refines,
 )
+from parthom.snpairs import is_sn_pair, symbolic_clause
 
 
 def shapes(max_n=8):
@@ -63,6 +70,27 @@ def test_parse_format_int_partition():
         parse_int_partition("0,5")
     with pytest.raises(ValueError):
         parse_int_partition("")
+
+
+def test_bad_shapes_raise_value_error_everywhere():
+    """Floats, strings, an empty shape, a zero part and a wrong sum are
+    refused the same way by every entry point that takes a shape of degree
+    5, with ValueError, and not truncated, parsed or passed on."""
+    group = build_group("s:5")
+    bad = [((2.5, 2.5), "2.5,2.5"), (("2", "3"), "two,three"), ((), ""),
+           ((5, 0), "5,0"), ((2, 2), "2,2")]
+    calls = (lambda parts: check_shape(parts, 5),
+             lambda parts: decide_lambda_homogeneous(group, parts),
+             lambda parts: decide_lambda_transitive(group, parts),
+             lambda parts: is_sn_pair(parts, group),
+             lambda parts: symbolic_clause(parts, group))
+    for parts, text in bad:
+        with pytest.raises(ValueError):
+            parse_int_partition(text, 5)
+        for call in calls:
+            with pytest.raises(ValueError):
+                call(parts)
+    assert check_shape([1, 3, 1], 5) == (3, 1, 1)
 
 
 # -- set partitions -----------------------------------------------------------

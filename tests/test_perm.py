@@ -18,7 +18,6 @@ from parthom.perm import (
     act_tuple,
     burnside_orbit_count,
     enumerate_elements,
-    induced_action,
     orbit,
     orbit_count,
     orbit_transversal,
@@ -29,6 +28,7 @@ from parthom.perm import (
     stabilizer_generators,
     walk,
 )
+from reference import induced_action
 
 
 def sym_group(n):
