@@ -26,13 +26,24 @@ from functools import lru_cache
 from itertools import combinations
 
 
+def parse_numbers(text):
+    """The numbers of a comma- or space-separated list such as "3,2,1".
+    Each token must be plain ASCII digits: `int` alone would also read
+    signs, underscores and other scripts' digits, taking "1_0" for 10."""
+    values = []
+    for tok in text.replace(",", " ").split():
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError("not a number: %r" % tok)
+        values.append(int(tok))
+    return values
+
+
 def parse_int_partition(text, n=None):
     """Parse "3,2,1" (or "3 2 1") into a canonical integer partition.
 
     If n is given the parts must sum to n.
     """
-    return check_shape([int(tok) for tok in text.replace(",", " ").split()],
-                       n)
+    return check_shape(parse_numbers(text), n)
 
 
 def check_shape(parts, n=None):
@@ -117,7 +128,7 @@ def parse_set_partition(text, n):
         raise ValueError("set partition must look like {1,2|3}")
     blocks = []
     for chunk in text[1:-1].split("|"):
-        pts = [int(tok) - 1 for tok in chunk.replace(",", " ").split()]
+        pts = [v - 1 for v in parse_numbers(chunk)]
         if not pts:
             raise ValueError("empty block in %r" % text)
         blocks.append(pts)

@@ -5,10 +5,12 @@ Conventions used throughout the package:
 - points are 0-based internally; every parser/formatter speaks 1-based
 - composition is left-to-right: (p * q) means "apply p, then q", so that
   x.(p*q) = (x.p).q and the group acts on the right
-- every breadth-first walk in the package (orbits, Schreier trees, element
-  enumeration, semigroup closures) runs through `walk`, which keeps a
-  visited-set on canonical forms and refuses to return a truncated result:
-  exceeding the cap raises
+- every breadth-first walk keeps a visited-set on canonical forms and
+  refuses to return a truncated result: exceeding the cap raises, with one
+  message.  Orbits and Schreier trees run through `walk`, one state and
+  one step at a time, so a tree's first edges follow walk order; image
+  rows (element enumeration, semigroup closures) run through `walk_rows`,
+  which translates a whole frontier through each generator's table at once
 - the decisions walk nothing: they read orbit sizes off stabilizer chains
   (`StabilizerChain.prefix_orbit_size`, `block_orbit_size`)
 - the image rows of transformations and of enumerated group elements are
@@ -225,13 +227,13 @@ def point_table(images):
     return tuple(images)
 
 
-def point_steps(gens):
-    """One step per image row in `gens`, mapping each point of an
-    `encode_points` sequence through it; on a map's image row that is right
-    multiplication by the generator.  (A lambda around `translate` costs
-    half of an `operator.methodcaller` call on CPython 3.11.)"""
-    return [lambda xs, table=point_table(images): xs.translate(table)
-            for images in gens]
+def point_tables(rows):
+    """The `point_table` of each row in `rows`, a collection of image rows
+    of one degree; for `bytes` rows the padding runs in C."""
+    if type(next(iter(rows), None)) is bytes:
+        return list(map(bytes.ljust, rows, itertools.repeat(256),
+                        itertools.repeat(b"\0")))
+    return list(map(point_table, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -549,16 +551,12 @@ class PermGroup:
 
 
 def walk(seeds, steps, cap, error):
-    """The one breadth-first walk: the set of states reached from `seeds` by
-    the `steps` (maps state -> state), applied in frontier order and step
-    order.  Reaching more than `cap` states raises `error`, and so do more
-    distinct seeds than `cap`; a cap below 1 is a ValueError."""
-    if cap < 1:
-        raise ValueError("a walk's cap must be at least 1, got %d" % cap)
-    seen = set(seeds)
-    if len(seen) > cap:
-        raise error("walk stopped at the cap of %d states (%d distinct seeds)"
-                    % (cap, len(seen)))
+    """The breadth-first walk of orbits and Schreier trees: the set of
+    states reached from `seeds` by the `steps` (maps state -> state), applied
+    one state at a time, in frontier order and step order.  Reaching more
+    than `cap` states raises `error`, and so do more distinct seeds than
+    `cap`; a cap below 1 is a ValueError."""
+    seen = _seeds(seeds, cap, error)
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -567,13 +565,54 @@ def walk(seeds, steps, cap, error):
                 y = step(x)
                 if y not in seen:
                     if len(seen) >= cap:
-                        raise error(
-                            "walk stopped at the cap of %d states (%d states "
-                            "visited, %d in the frontier being expanded)"
-                            % (cap, len(seen), len(frontier)))
+                        raise cap_exceeded(error, cap, len(frontier))
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
+    return seen
+
+
+def _seeds(seeds, cap, error):
+    """The set of the seeds of a walk with this cap, which must be at least
+    1 and hold them all."""
+    if cap < 1:
+        raise ValueError("a walk's cap must be at least 1, got %d" % cap)
+    seen = set(seeds)
+    if len(seen) > cap:
+        raise error("walk stopped at the cap of %d states (%d distinct seeds)"
+                    % (cap, len(seen)))
+    return seen
+
+
+def cap_exceeded(error, cap, frontier):
+    """The one message of a walk that would pass its cap: `error` saying
+    that the states reached fill the cap while `frontier` states were being
+    expanded."""
+    return error("walk stopped at the cap of %d states (%d states visited, "
+                 "%d in the frontier being expanded)" % (cap, cap, frontier))
+
+
+def walk_rows(seeds, tables, cap, error):
+    """The set of `encode_points` rows reached from `seeds` by translating
+    through the `tables` (`point_table`s), a frontier at a time: each table
+    translates the whole frontier in one `map`, and the rows not seen before
+    form the next frontier.  On a map's image row a translation is right
+    multiplication by the table's row.  The result does not depend on the
+    order of the seeds or the tables, and neither does the frontier
+    being expanded when the cap trips.  The cap is `walk`'s: more than `cap`
+    rows in the result raise `error`, with `walk`'s messages."""
+    seen = _seeds(seeds, cap, error)
+    frontier = seen
+    while frontier:
+        translate = type(next(iter(frontier))).translate
+        new = set()
+        for table in tables:
+            new.update(itertools.filterfalse(seen.__contains__, map(
+                translate, frontier, itertools.repeat(table))))
+        if len(seen) + len(new) > cap:
+            raise cap_exceeded(error, cap, len(frontier))
+        seen |= new
+        frontier = new
     return seen
 
 
@@ -586,12 +625,18 @@ def _action_steps(group, act):
             for images in group.raw_gens()]
 
 
+def element_rows(group, cap=DEFAULT_ENUM_CAP):
+    """The image rows (`encode_points`) of all elements, by word BFS over
+    the generators; cap is a hard limit."""
+    n = group.degree
+    return walk_rows((encode_points(range(n), n),),
+                     point_tables(group.raw_gens()), cap,
+                     EnumerationCapExceeded)
+
+
 def enumerate_elements(group, cap=DEFAULT_ENUM_CAP):
     """All elements by word BFS over the generators; cap is a hard limit."""
-    n = group.degree
-    found = walk((encode_points(range(n), n),), point_steps(group.raw_gens()),
-                 cap, EnumerationCapExceeded)
-    return [_unchecked(tuple(row)) for row in found]
+    return [_unchecked(tuple(row)) for row in element_rows(group, cap)]
 
 
 def orbit(group, seed, act, cap=DEFAULT_ORBIT_CAP):

@@ -5,10 +5,17 @@ means apply a, then b.  A transformation is stored, hashed and compared as
 its 0-based image row: `bytes` up to degree 256, a `perm.WideRow` above.
 Right multiplication by b is `row.translate(perm.point_table(b.row))`, so
 products compose in C.  Closures and conjugate closures are breadth-first
-walks over generator words on rows (`perm.walk` with `perm.point_steps`);
-`generate_arc_set` enumerates the group's rows once and builds the
+walks over generator words on rows (`perm.walk_rows`, which translates a
+whole frontier through each generator's table in one `map`);
+`generate_arc_set` enumerates the group's rows the same way and builds the
 non-units one G x G double class at a time.  Either way the element set
 does not depend on the order in which elements are found.
+
+x s depends only on the restriction of s to the image of x, so where many
+x share an image set they are translated only through one table per
+distinct restriction to it (`_restrictions`): the right classes of an
+arc, the two-sided ideals of `green_checks`, and the sections that
+`is_regular` looks for.
 
 A semigroup holds the set of its elements' rows as the generation routine
 built it, and never changes it afterwards; the closures, arcs and
@@ -26,10 +33,11 @@ from collections.abc import Set
 from itertools import groupby, product, repeat
 from typing import NamedTuple
 
-from .partitions import canon_set_partition, coarsening_feasible, partition_shape
+from .partitions import (canon_set_partition, coarsening_feasible,
+                         parse_numbers, partition_shape)
 from .perm import (EnumerationCapExceeded, Permutation, as_points,
-                   encode_points, enumerate_elements, point_steps, point_table,
-                   walk)
+                   cap_exceeded, element_rows, encode_points,
+                   enumerate_elements, point_table, point_tables, walk_rows)
 
 DEFAULT_SEMIGROUP_CAP = 10**6
 
@@ -145,9 +153,32 @@ def _is_idempotent(row):
     return row.translate(point_table(row)) == row
 
 
+def _restrictions(tables, image):
+    """Each distinct restriction to the points of `image` (an encoded row of
+    them) among the elements with these tables, mapped to the table of one
+    element that has it.  y s depends only on the restriction of s to
+    im(y), so translating y through these tables gives y s for every s."""
+    return dict(zip(map(image.translate, tables), tables))
+
+
+def _restrictions_by_image(tables, images, degree):
+    """`_restrictions` of the tables to each image set in `images` (sorted
+    tuples of points), as a dict.  A restriction to a set is a restriction
+    of one to any larger set, so the sets are done from the largest, each
+    from the representatives of the smallest larger set done before it
+    that holds it, or from all the tables when there is none."""
+    done = {}
+    for image in sorted(images, key=len, reverse=True):
+        source = next((reps.values() for larger, reps in reversed(done.items())
+                       if len(larger) > len(image)
+                       and set(image).issubset(larger)), tables)
+        done[image] = _restrictions(source, encode_points(image, degree))
+    return done
+
+
 def parse_transformation(text, n=None):
     """Parse a 1-based image row like '1,1,3,4,5'."""
-    values = [int(tok) for tok in text.replace(",", " ").split()]
+    values = parse_numbers(text)
     if not values:
         raise ValueError("empty transformation text")
     if n is not None and len(values) != n:
@@ -246,12 +277,13 @@ class TransSemigroup:
         """Whether the product of every ordered pair of elements is one."""
         rows = self.rows
         return all(x.translate(table) in rows
-                   for table in map(point_table, rows) for x in rows)
+                   for table in point_tables(rows) for x in rows)
 
 
 def _close(rows, cap):
     """The rows of the semigroup the rows generate."""
-    return walk(rows, point_steps(rows), cap, EnumerationCapExceeded)
+    return walk_rows(rows, point_tables(rows), cap,
+                     EnumerationCapExceeded)
 
 
 def closure(gens, cap=DEFAULT_SEMIGROUP_CAP, description=""):
@@ -307,11 +339,9 @@ def generate_arc_set(maps, group, cap=DEFAULT_SEMIGROUP_CAP):
     for a in maps:
         _check_map(a, group)
     n = group.degree
-    identity = encode_points(range(n), n)
-    translate = type(identity).translate
-    g_rows = list(walk((identity,), point_steps(group.raw_gens()), cap,
-                       EnumerationCapExceeded))
-    g_tables = list(map(point_table, g_rows))
+    g_rows = list(element_rows(group, cap))
+    translate = type(g_rows[0]).translate
+    g_tables = point_tables(g_rows)
     map_tables = [point_table(a.row) for a in maps]
     room = cap - len(g_rows)
     arc = set()
@@ -321,16 +351,14 @@ def generate_arc_set(maps, group, cap=DEFAULT_SEMIGROUP_CAP):
         if y in arc:
             continue
         image = encode_points(_image_set(y), n)
-        tables = dict(zip(map(image.translate, g_tables), g_tables)).values()
+        tables = _restrictions(g_tables, image).values()
         right = list(map(y.translate, tables))
         for z in set(map(translate, g_rows, repeat(point_table(y)))):
             if z not in arc:
                 arc.update(map(z.translate, tables))
                 if len(arc) > room:
-                    raise EnumerationCapExceeded(
-                        "walk stopped at the cap of %d states (%d states "
-                        "visited, %d in the frontier being expanded)"
-                        % (cap, cap, len(queue) + 1))
+                    raise cap_exceeded(EnumerationCapExceeded, cap,
+                                       len(queue) + 1)
         for table in map_tables:
             queue += set(map(translate, right, repeat(table))) - arc
     return TransSemigroup.from_rows(n, arc, "non-units of <%d maps, %s>"
@@ -353,7 +381,7 @@ def generate_conjugates(a, group, cap=DEFAULT_SEMIGROUP_CAP):
     conj = {encode_points(g.inverse().images, n).translate(table)
             .translate(point_table(g.images))
             for g in enumerate_elements(group)}
-    return TransSemigroup.from_rows(n, _close(sorted(conj), cap),
+    return TransSemigroup.from_rows(n, _close(conj, cap),
                                     "conjugate closure of %s over %s"
                                     % (a.text(), group.name))
 
@@ -386,22 +414,23 @@ def is_regular(semigroup):
     x y x = x says exactly that y sends each image point z of x into the
     fiber of x over z, so regularity of x means: some section of the fibers
     of x over its image occurs as the restriction to im(x) of an element.
-    The restrictions to an image set, the set's row translated through
-    every element's table, are bucketed the first time an x with that image
-    comes up, and each x probes its own fiber sections against its bucket.
+    The restrictions to each image set come from `_restrictions_by_image`,
+    and each x probes its own fiber sections against those of its image.
     """
     n = semigroup.degree
-    tables = list(map(point_table, semigroup.rows))
-    restrictions = {}
-    for x in semigroup.rows:
-        image = _image_set(x)
-        bucket = restrictions.get(image)
-        if bucket is None:
-            bucket = restrictions[image] = set(
-                map(encode_points(image, n).translate, tables))
+    rows = semigroup.rows
+    images = list(map(_image_set, rows))
+    restrictions = _restrictions_by_image(point_tables(rows),
+                                          set(images), n)
+    for x, image in zip(rows, images):
+        bucket = restrictions[image]
+        # first the section through the first point of each fiber
+        if encode_points(map(x.index, image), n) in bucket:
+            continue
         fibers = _fibers(x)
-        if not any(encode_points(section, n) in bucket
-                   for section in product(*(fibers[z] for z in image))):
+        if bucket.keys().isdisjoint(
+                map(encode_points, product(*(fibers[z] for z in image)),
+                    repeat(n))):
             return False
     return True
 
@@ -469,17 +498,26 @@ def _right_ideal(tables, row):
 
 def _left_ideal(rows, row):
     """The rows of S^1 x for the x with this row."""
-    table = point_table(row)
-    out = {s.translate(table) for s in rows}
+    out = set(map(type(row).translate, rows, repeat(point_table(row))))
     out.add(row)
     return out
 
 
 def _two_sided_ideal(rows, tables, row):
-    """The rows of S^1 x S^1 for the x with this row."""
-    out = _left_ideal(rows, row)
-    for y in list(out):
-        out.update(map(y.translate, tables))
+    """The rows of S^1 x S^1 for the x with this row: the union of y S^1
+    over the y in S^1 x.  The y with one image set share that set's
+    restriction tables, so each y is translated through one table per
+    distinct restriction rather than through every element's."""
+    left = _left_ideal(rows, row)
+    by_image = {}
+    for y in left:
+        by_image.setdefault(_image_set(y), []).append(y)
+    restrictions = _restrictions_by_image(tables, by_image, len(row))
+    out = set(left)
+    for image, ys in by_image.items():
+        reps = restrictions[image].values()
+        for y in ys:
+            out.update(map(y.translate, reps))
     return out
 
 
@@ -492,7 +530,7 @@ def green_checks(semigroup, a, b):
     if a not in semigroup or b not in semigroup:
         raise ValueError("both elements must belong to the semigroup")
     rows = semigroup.rows
-    tables = list(map(point_table, rows))
+    tables = point_tables(rows)
     r = GreenVerdict("R",
                      _right_ideal(tables, a.row) == _right_ideal(tables, b.row),
                      a.kernel == b.kernel)

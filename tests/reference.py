@@ -1,12 +1,15 @@
 """Plain-walk references that tests compare the chain-read decisions with.
 
 `tuple_orbit` walks the orbit of the tuple (0, ..., t-1) as `bytes` rows
-through `walk`, the way element enumeration walks its rows.
+through `walk_rows`, the way element enumeration walks its rows.
 `walked_standard_pair` decides standardness from its definition, without
 the stabilizer-chain reads of `parthom.homogeneity`: it walks the orbit of
 a t-set, builds the t-set's setwise stabilizer, restricts it to the t-set
 (`induced_action`), and walks the orbit of an ordered partition of the
 rest of the shape under the public `act_ordered_partition`.
+`two_sided_ideal` builds S^1 x S^1 the way `parthom.tsemi` did before its
+restriction tables: every y in S^1 x translated through every element's
+table.  `is_regular_by_definition` tries every y for every x.
 `restarted_schreier_sims` completes a chain by the plain scan: every time
 it climbs back to a level, it sifts that level's Schreier generators again
 from the first tree point and the first generator.  It shares `_absorb`,
@@ -32,16 +35,38 @@ from parthom.perm import (
     _absorb,
     act_set,
     orbit,
-    point_steps,
+    point_table,
+    point_tables,
     stabilizer_generators,
-    walk,
+    walk_rows,
 )
 
 
 def tuple_orbit(group, t):
     """The orbit of the tuple (0, ..., t-1), as a set of `bytes` rows."""
-    return walk((bytes(range(t)),), point_steps(group.raw_gens()),
-                DEFAULT_ORBIT_CAP, OrbitCapExceeded)
+    return walk_rows((bytes(range(t)),), point_tables(group.raw_gens()),
+                     DEFAULT_ORBIT_CAP, OrbitCapExceeded)
+
+
+def two_sided_ideal(rows, row):
+    """The rows of S^1 x S^1 for the x with this image row, S the semigroup
+    with the image rows `rows`: S^1 x, then each of its rows translated
+    through the table of every element, |S^1 x| x |S| translations."""
+    table = point_table(row)
+    left = {s.translate(table) for s in rows} | {row}
+    out = set(left)
+    for table in map(point_table, rows):
+        out.update(y.translate(table) for y in left)
+    return out
+
+
+def is_regular_by_definition(rows):
+    """Whether every x among the image rows has a y among them with
+    x y x = x, trying every y."""
+    tables = {y: point_table(y) for y in rows}
+    return all(any(x.translate(table).translate(tables[x]) == x
+                   for table in tables.values())
+               for x in rows)
 
 
 def induced_action(group, domain):

@@ -308,6 +308,18 @@ def test_malformed_lambda(capsys):
     assert code == 2 and "sum" in err
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["check-lambda", "--group", "s:5", "--lambda", "1_0"], "1_0"),
+    (["check-lambda", "--group", "s:5", "--lambda", "+3,2"], "+3"),
+    (["oracle-semigroup", "--group", "s:3", "--map", "1,\uff11,2"], "\uff11"),
+    (["oracle-semigroup", "--group", "s:3", "--map", "1,1_0,2"], "1_0")])
+def test_non_ascii_digit_tokens_are_usage_errors(capsys, argv, token):
+    # int() alone read 1_0 as 10, so check-lambda said "parts sum to 10"
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: not a number: %r\n" % token
+
+
 def test_unknown_verb_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])

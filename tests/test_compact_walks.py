@@ -1,8 +1,8 @@
 """Tuple walks on `bytes` rows against the walks of the public `act_tuple`.
 
 Element enumeration, `tsemi` and the tuple-orbit references of the tests
-(`reference.tuple_orbit`) walk point tuples as `bytes` rows through `walk`
-and `point_steps`.  Here every such walk is compared with the orbit of the
+(`reference.tuple_orbit`) walk point tuples as `bytes` rows through
+`walk_rows`.  Here every such walk is compared with the orbit of the
 same tuple under `act_tuple`: same orbit size, the decoded rows are exactly
 the public orbit, and the cap trips at the same state count.  Walks that may
 hold more than `MAX_STATES` states (by the closed-form count and the group
@@ -25,8 +25,8 @@ from parthom.perm import (
     act_tuple,
     encode_points,
     orbit,
-    point_steps,
-    walk,
+    point_tables,
+    walk_rows,
 )
 
 MAX_STATES = 5000
@@ -57,13 +57,13 @@ def check_walk(group, t):
     assert len(rows) == len(plain), t
     assert {tuple(row) for row in rows} == plain, t
     start = encode_points(seed, group.degree)
-    steps = point_steps(group.raw_gens())
+    tables = point_tables(group.raw_gens())
     if len(rows) > 1:
         with pytest.raises(OrbitCapExceeded):
-            walk((start,), steps, len(rows) - 1, OrbitCapExceeded)
+            walk_rows((start,), tables, len(rows) - 1, OrbitCapExceeded)
         with pytest.raises(OrbitCapExceeded):
             orbit(group, seed, act_tuple, cap=len(rows) - 1)
-    assert walk((start,), steps, len(rows), OrbitCapExceeded) == rows
+    assert walk_rows((start,), tables, len(rows), OrbitCapExceeded) == rows
 
 
 @pytest.mark.parametrize("entry", catalog_entries(9), ids=lambda e: e.spec)

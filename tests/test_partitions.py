@@ -1,5 +1,6 @@
 """Partition canonical forms, counting formulas, enumeration, coarsening."""
 
+import re
 from itertools import permutations
 
 import pytest
@@ -70,6 +71,17 @@ def test_parse_format_int_partition():
         parse_int_partition("0,5")
     with pytest.raises(ValueError):
         parse_int_partition("")
+
+
+@pytest.mark.parametrize("token", ["2_3", "+2", "-1", "\uff13", "2.0", "0x2"])
+def test_parse_takes_only_ascii_digit_tokens(token):
+    # int() alone reads 2_3 as 23, +2 as 2 and a fullwidth 3 as 3
+    for text, parse in (("2,%s" % token, parse_int_partition),
+                        ("{1|%s}" % token,
+                         lambda text: parse_set_partition(text, 2))):
+        with pytest.raises(ValueError, match="not a number: %s$"
+                           % re.escape(repr(token))):
+            parse(text)
 
 
 def test_bad_shapes_raise_value_error_everywhere():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from parthom import tsemi
 from parthom.catalog import build_group, catalog_entries
 from parthom.partitions import (
@@ -26,7 +27,8 @@ from parthom.partitions import (
     refines,
 )
 from parthom.perm import (EnumerationCapExceeded, Permutation, PermGroup,
-                          WideRow, enumerate_elements)
+                          WideRow, enumerate_elements, point_tables,
+                          walk_rows)
 from parthom.snpairs import is_independent, is_sn_pair
 from parthom.tsemi import (
     TransSemigroup,
@@ -115,6 +117,14 @@ def test_parse_rejects():
         Transformation([0, 4, 1])
     with pytest.raises(ValueError):
         Transformation([])
+
+
+@pytest.mark.parametrize("token", ["1_0", "+2", "-1", "\uff13", "2.0", "0x2"])
+def test_parse_takes_only_ascii_digit_tokens(token):
+    # int() alone would read all but the last two of these as numbers
+    with pytest.raises(ValueError, match="not a number: %s$"
+                       % re.escape(repr(token))):
+        parse_transformation("1,%s,3" % token)
 
 
 def test_parse_names_the_one_based_range():
@@ -397,6 +407,61 @@ def plain_walk(seeds, gens):
 
 def as_maps(rows):
     return frozenset(Transformation(r) for r in rows)
+
+
+def check_walk_rows(gens):
+    """walk_rows from the generators' rows through their tables against
+    plain_walk: the same rows, and the cap trips for every cap below the
+    size and for none from there on, with walk's message."""
+    rows = [g.row for g in gens]
+    tables = point_tables(rows)
+    plain = plain_walk([g.images for g in gens], [g.images for g in gens])
+    walked = walk_rows(rows, tables, len(plain), EnumerationCapExceeded)
+    assert {tuple(row) for row in walked} == plain
+    assert all(type(row) is type(rows[0]) for row in walked)
+    for cap in range(max(1, len(plain) - 3), len(plain)):
+        with pytest.raises(EnumerationCapExceeded) as err:
+            walk_rows(rows, tables, cap, EnumerationCapExceeded)
+        if cap >= len(set(rows)):
+            cap_seen, visited, frontier = cap_message_counts(err)
+            assert cap_seen == visited == cap and 0 < frontier < len(plain)
+    return walked
+
+
+def test_walk_rows_matches_plain_walk():
+    rng = random.Random(15)
+    for n in (3, 4, 5):
+        for _ in range(6):
+            gens = [Transformation(rng.choices(range(n), k=n))
+                    for _ in range(rng.randint(1, 3))]
+            check_walk_rows(gens)
+    check_walk_rows([MAP_A5, parse_transformation("2,3,4,5,1")])
+
+
+def test_walk_rows_of_seeds_that_close_at_once():
+    # with no tables the seeds are the result; constant maps and one
+    # idempotent close on themselves; duplicate seeds count once
+    consts = [Transformation.constant(4, v) for v in (0, 2)]
+    e = parse_transformation("1,1,3,4")
+    rows = [c.row for c in consts]
+    assert walk_rows(rows + rows, [], 2, EnumerationCapExceeded) == set(rows)
+    assert check_walk_rows(consts) == set(rows)
+    assert check_walk_rows([e]) == {e.row}
+    assert walk_rows([e.row], point_tables([e.row]), 1,
+                     EnumerationCapExceeded) == {e.row}
+    with pytest.raises(EnumerationCapExceeded, match="2 distinct seeds"):
+        walk_rows(rows, [], 1, EnumerationCapExceeded)
+    with pytest.raises(ValueError, match="at least 1"):
+        walk_rows(rows, [], 0, EnumerationCapExceeded)
+
+
+def test_walk_rows_above_degree_256():
+    n = 300
+    shift = Transformation([(i + 1) % 5 if i < 5 else i for i in range(n)])
+    fold = Transformation([0, 0] + list(range(2, n)))
+    walked = check_walk_rows([shift, fold])
+    assert all(type(row) is WideRow for row in walked)
+    assert len(walked) > 5
 
 
 def plain_conjugates(a, group):
@@ -963,6 +1028,42 @@ def test_sorting_by_row_is_sorting_by_images():
             Transformation.constant(300, 7)])):
         by_images = sorted(s.elements, key=lambda t: t.images)
         assert sorted(s.elements, key=lambda t: t.row) == by_images
+
+
+@pytest.mark.parametrize("entry", catalog_entries(4), ids=lambda e: e.spec)
+def test_green_ideals_and_regularity_match_plain_constructions(entry):
+    """On the arc of each kernel type over each group to degree 4: the
+    two-sided ideal from restriction tables is the plain one of every
+    idempotent, green_checks' J verdict on every pair of idempotents
+    compares those ideals, and is_regular agrees with its definition."""
+    n = entry.group.degree
+    for shape in singular_types(n):
+        s = generate_arc(first_of_type(n, shape), entry.group)
+        tables = point_tables(s.rows)
+        ids = sorted(idempotents(s), key=lambda t: t.row)
+        ideals = {}
+        for e in ids:
+            ideals[e] = reference.two_sided_ideal(s.rows, e.row)
+            assert tsemi._two_sided_ideal(s.rows, tables, e.row) \
+                == ideals[e]
+        for e, f in product(ids, repeat=2):
+            j = green_checks(s, e, f).verdicts[2]
+            assert j.by_ideals == (ideals[e] == ideals[f]), (shape, e, f)
+        assert is_regular(s) == reference.is_regular_by_definition(s.rows)
+
+
+def test_regularity_matches_its_definition_on_random_closures():
+    rng = random.Random(8)
+    verdicts = set()
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        gens = [Transformation(rng.choices(range(n), k=n))
+                for _ in range(rng.randint(1, 2))]
+        s = closure(gens)
+        regular = is_regular(s)
+        assert regular == reference.is_regular_by_definition(s.rows), gens
+        verdicts.add(regular)
+    assert verdicts == {True, False}
 
 
 def test_green_rejects_foreign_elements():
