@@ -228,11 +228,7 @@ def point_table(images):
 
 
 def point_tables(rows):
-    """The `point_table` of each row in `rows`, a collection of image rows
-    of one degree; for `bytes` rows the padding runs in C."""
-    if type(next(iter(rows), None)) is bytes:
-        return list(map(bytes.ljust, rows, itertools.repeat(256),
-                        itertools.repeat(b"\0")))
+    """The `point_table` of each row in `rows`."""
     return list(map(point_table, rows))
 
 
@@ -600,7 +596,9 @@ def walk_rows(seeds, tables, cap, error):
     multiplication by the table's row.  The result does not depend on the
     order of the seeds or the tables, and neither does the frontier
     being expanded when the cap trips.  The cap is `walk`'s: more than `cap`
-    rows in the result raise `error`, with `walk`'s messages."""
+    rows in the result raise `error`, with `walk`'s messages.  The count is
+    checked after each table, so the rows held never pass the cap by more
+    than one frontier."""
     seen = _seeds(seeds, cap, error)
     frontier = seen
     while frontier:
@@ -609,8 +607,8 @@ def walk_rows(seeds, tables, cap, error):
         for table in tables:
             new.update(itertools.filterfalse(seen.__contains__, map(
                 translate, frontier, itertools.repeat(table))))
-        if len(seen) + len(new) > cap:
-            raise cap_exceeded(error, cap, len(frontier))
+            if len(seen) + len(new) > cap:
+                raise cap_exceeded(error, cap, len(frontier))
         seen |= new
         frontier = new
     return seen

@@ -14,8 +14,8 @@ does not depend on the order in which elements are found.
 x s depends only on the restriction of s to the image of x, so where many
 x share an image set they are translated only through one table per
 distinct restriction to it (`_restrictions`): the right classes of an
-arc, the two-sided ideals of `green_checks`, and the sections that
-`is_regular` looks for.
+arc and the two-sided ideals of `green_checks`.  `is_regular` probes
+each x's sections against the restrictions to its image set.
 
 A semigroup holds the set of its elements' rows as the generation routine
 built it, and never changes it afterwards; the closures, arcs and
@@ -159,21 +159,6 @@ def _restrictions(tables, image):
     element that has it.  y s depends only on the restriction of s to
     im(y), so translating y through these tables gives y s for every s."""
     return dict(zip(map(image.translate, tables), tables))
-
-
-def _restrictions_by_image(tables, images, degree):
-    """`_restrictions` of the tables to each image set in `images` (sorted
-    tuples of points), as a dict.  A restriction to a set is a restriction
-    of one to any larger set, so the sets are done from the largest, each
-    from the representatives of the smallest larger set done before it
-    that holds it, or from all the tables when there is none."""
-    done = {}
-    for image in sorted(images, key=len, reverse=True):
-        source = next((reps.values() for larger, reps in reversed(done.items())
-                       if len(larger) > len(image)
-                       and set(image).issubset(larger)), tables)
-        done[image] = _restrictions(source, encode_points(image, degree))
-    return done
 
 
 def parse_transformation(text, n=None):
@@ -414,23 +399,23 @@ def is_regular(semigroup):
     x y x = x says exactly that y sends each image point z of x into the
     fiber of x over z, so regularity of x means: some section of the fibers
     of x over its image occurs as the restriction to im(x) of an element.
-    The restrictions to each image set come from `_restrictions_by_image`,
-    and each x probes its own fiber sections against those of its image.
+    The restrictions to an image set, the set's row translated through
+    every element's table, are collected the first time an x with that
+    image comes up, and each x probes its own fiber sections against them.
     """
     n = semigroup.degree
-    rows = semigroup.rows
-    images = list(map(_image_set, rows))
-    restrictions = _restrictions_by_image(point_tables(rows),
-                                          set(images), n)
-    for x, image in zip(rows, images):
-        bucket = restrictions[image]
-        # first the section through the first point of each fiber
-        if encode_points(map(x.index, image), n) in bucket:
-            continue
+    tables = point_tables(semigroup.rows)
+    restrictions = {}
+    for x in semigroup.rows:
+        image = _image_set(x)
+        bucket = restrictions.get(image)
+        if bucket is None:
+            bucket = restrictions[image] = set(
+                map(encode_points(image, n).translate, tables))
         fibers = _fibers(x)
-        if bucket.keys().isdisjoint(
-                map(encode_points, product(*(fibers[z] for z in image)),
-                    repeat(n))):
+        if bucket.isdisjoint(map(encode_points,
+                                 product(*(fibers[z] for z in image)),
+                                 repeat(n))):
             return False
     return True
 
@@ -512,10 +497,10 @@ def _two_sided_ideal(rows, tables, row):
     by_image = {}
     for y in left:
         by_image.setdefault(_image_set(y), []).append(y)
-    restrictions = _restrictions_by_image(tables, by_image, len(row))
+    n = len(row)
     out = set(left)
     for image, ys in by_image.items():
-        reps = restrictions[image].values()
+        reps = _restrictions(tables, encode_points(image, n)).values()
         for y in ys:
             out.update(map(y.translate, reps))
     return out

@@ -464,6 +464,36 @@ def test_walk_rows_above_degree_256():
     assert len(walked) > 5
 
 
+class CountingTables(list):
+    """A list of tables that counts the tables handed out by iteration."""
+
+    used = 0
+
+    def __iter__(self):
+        for table in list.__iter__(self):
+            self.used += 1
+            yield table
+
+
+def test_walk_rows_cap_trips_within_a_level():
+    # the 20 conjugates of a rank-4 idempotent over S_5, which are the
+    # closure's rank-4 idempotents, as seeds and tables: the first level's
+    # products pass a cap just above the seeds after the first table, and
+    # the walk stops there rather than after all 20
+    a = MAP_A5
+    conj = generate_conjugates(a, build_group("s:5"))
+    seeds = {x.row for x in conj if x.rank == 4 and x * x == x}
+    assert len(seeds) == 20
+    tables = CountingTables(point_tables(seeds))
+    with pytest.raises(EnumerationCapExceeded) as err:
+        walk_rows(seeds, tables, len(seeds) + 1, EnumerationCapExceeded)
+    assert cap_message_counts(err) == (21, 21, 20)
+    assert tables.used < len(seeds)
+    with pytest.raises(EnumerationCapExceeded) as err:
+        generate_conjugates(a, build_group("s:5"), cap=len(seeds) + 1)
+    assert cap_message_counts(err) == (21, 21, 20)
+
+
 def plain_conjugates(a, group):
     """The image tuples of g^-1 a g over the group, whose elements come
     from plain_walk too."""
