@@ -230,61 +230,6 @@ def iter_ordered_partitions(shape, points=None):
     yield from rec(0, points, [])
 
 
-def iter_unordered_partitions(shape, points=None):
-    """Yield all set partitions of the given shape, each exactly once.
-
-    Equal-size blocks are ordered by smallest element, enforced by anchoring
-    each block of a size-class on the smallest remaining point.
-    """
-    if points is None:
-        points = tuple(range(sum(shape)))
-    else:
-        points = tuple(sorted(points))
-    if len(points) != sum(shape):
-        raise ValueError("shape sums to %d but %d points given"
-                         % (sum(shape), len(points)))
-
-    # group the shape into (size, multiplicity) runs, largest first
-    runs = []
-    for k in shape:
-        if runs and runs[-1][0] == k:
-            runs[-1][1] += 1
-        else:
-            runs.append([k, 1])
-
-    def split_run(pool, k, m):
-        """Unordered splits of pool into m blocks of size k, increasing mins.
-
-        Anchoring each block on the smallest point still in the pool kills
-        the m! orderings, and only works because the pool is fixed first.
-        """
-        if m == 0:
-            yield []
-            return
-        anchor = pool[0]
-        rest = pool[1:]
-        for others in combinations(rest, k - 1):
-            block = (anchor,) + others
-            taken = set(others)
-            new_pool = tuple(x for x in rest if x not in taken)
-            for tail in split_run(new_pool, k, m - 1):
-                yield [block] + tail
-
-    def rec(run_idx, remaining):
-        if run_idx == len(runs):
-            yield ()
-            return
-        k, m = runs[run_idx]
-        for chosen in combinations(remaining, k * m):
-            taken = set(chosen)
-            rest = tuple(x for x in remaining if x not in taken)
-            for head in split_run(chosen, k, m):
-                for tail in rec(run_idx + 1, rest):
-                    yield tuple(head) + tail
-
-    yield from rec(0, points)
-
-
 # ---------------------------------------------------------------------------
 # refinement and coarsening
 

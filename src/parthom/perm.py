@@ -588,7 +588,7 @@ def cap_exceeded(error, cap, frontier):
                  "%d in the frontier being expanded)" % (cap, cap, frontier))
 
 
-def walk_rows(seeds, tables, cap, error):
+def walk_rows(seeds, tables, cap, error, known=(), stop=math.inf):
     """The set of `encode_points` rows reached from `seeds` by translating
     through the `tables` (`point_table`s), a frontier at a time: each table
     translates the whole frontier in one `map`, and the rows not seen before
@@ -598,10 +598,13 @@ def walk_rows(seeds, tables, cap, error):
     being expanded when the cap trips.  The cap is `walk`'s: more than `cap`
     rows in the result raise `error`, with `walk`'s messages.  The count is
     checked after each table, so the rows held never pass the cap by more
-    than one frontier."""
-    seen = _seeds(seeds, cap, error)
-    frontier = seen
-    while frontier:
+    than one frontier.  A closure resumes through `known`, a set closed
+    under some of the tables, whose rows count as reached and are not
+    translated again; and it returns after the first level at which it
+    holds `stop` rows."""
+    seen = _seeds(itertools.chain(known, seeds), cap, error)
+    frontier = seen.difference(known)
+    while frontier and len(seen) < stop:
         translate = type(next(iter(frontier))).translate
         new = set()
         for table in tables:

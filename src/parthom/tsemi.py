@@ -14,8 +14,13 @@ does not depend on the order in which elements are found.
 x s depends only on the restriction of s to the image of x, so where many
 x share an image set they are translated only through one table per
 distinct restriction to it (`_restrictions`): the right classes of an
-arc and the two-sided ideals of `green_checks`.  `is_regular` probes
-each x's sections against the restrictions to its image set.
+arc and the two-sided ideals of `green_checks`.  A semigroup also keeps
+`gens`, the rows of a generating set of a monoid in which it is an ideal
+(an arc's maps and group generators, a closure's generators, or else its
+own elements); `is_regular` reads regularity off the strongly connected
+components of the right Cayley graph over them.  `is_idempotent_generated`
+resumes each rank's closure from the rows already closed, and stops it
+once it holds as many rows as the semigroup.
 
 A semigroup holds the set of its elements' rows as the generation routine
 built it, and never changes it afterwards; the closures, arcs and
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Set
-from itertools import groupby, product, repeat
+from itertools import groupby, repeat
 from typing import NamedTuple
 
 from .partitions import (canon_set_partition, coarsening_feasible,
@@ -173,22 +178,6 @@ def parse_transformation(text, n=None):
     return Transformation(v - 1 for v in values)
 
 
-def omega_power(a):
-    """The unique idempotent among the positive powers of a.
-
-    Successive powers a, a^2, a^3, ... enter a cycle after a tail of length
-    at most n-1, and exactly one power in the cycle is idempotent, so at
-    most 2n multiplications suffice.  (Repeated squaring would skip the
-    idempotent whenever the cycle length has an odd prime factor.)
-    """
-    x = a
-    for _ in range(2 * a.degree + 2):
-        if x * x == x:
-            return x
-        x = x * a
-    raise ArithmeticError("no idempotent power found for %s" % a.text())
-
-
 class RowSet(Set):
     """A read-only set of Transformations held as the set `rows` of their
     image rows.  Iteration yields Transformations; membership and
@@ -227,19 +216,22 @@ class RowSet(Set):
 
 class TransSemigroup:
     """A semigroup of maps on `degree` points, held as the set `rows` of
-    their image rows.  The constructor takes the Transformations;
-    `from_rows` keeps the set of rows of that degree it is handed, without
-    a copy, so the caller must not change that set afterwards."""
+    their image rows, with `gens`, the rows of a generating set of a monoid
+    in which it is an ideal.  The constructor takes the Transformations,
+    which are their own `gens`; `from_rows` keeps the set of rows of that
+    degree it is handed, without a copy, so the caller must not change that
+    set afterwards, and the generation routines hand it their generators."""
 
     def __init__(self, degree, elements, description=""):
         self.degree = degree
-        self.rows = frozenset(t.row for t in elements)
+        self.rows = self.gens = frozenset(t.row for t in elements)
         self.description = description
 
     @classmethod
-    def from_rows(cls, degree, rows, description=""):
+    def from_rows(cls, degree, rows, description="", gens=None):
         s = object.__new__(cls)
         s.degree, s.rows, s.description = degree, rows, description
+        s.gens = rows if gens is None else gens
         return s
 
     @property
@@ -279,9 +271,10 @@ def closure(gens, cap=DEFAULT_SEMIGROUP_CAP, description=""):
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators must share a degree")
+    rows = [g.row for g in gens]
     return TransSemigroup.from_rows(
-        degree, _close([g.row for g in gens], cap),
-        description or "closure of %d generators" % len(gens))
+        degree, _close(rows, cap),
+        description or "closure of %d generators" % len(gens), rows)
 
 
 def _check_map(a, group):
@@ -346,8 +339,10 @@ def generate_arc_set(maps, group, cap=DEFAULT_SEMIGROUP_CAP):
                                        len(queue) + 1)
         for table in map_tables:
             queue += set(map(translate, right, repeat(table))) - arc
-    return TransSemigroup.from_rows(n, arc, "non-units of <%d maps, %s>"
-                                    % (len(maps), group.name))
+    return TransSemigroup.from_rows(
+        n, arc, "non-units of <%d maps, %s>" % (len(maps), group.name),
+        [a.row for a in maps] + [encode_points(g, n)
+                                 for g in group.raw_gens()])
 
 
 def generate_arc(a, group, cap=DEFAULT_SEMIGROUP_CAP):
@@ -368,7 +363,7 @@ def generate_conjugates(a, group, cap=DEFAULT_SEMIGROUP_CAP):
             for g in enumerate_elements(group)}
     return TransSemigroup.from_rows(n, _close(conj, cap),
                                     "conjugate closure of %s over %s"
-                                    % (a.text(), group.name))
+                                    % (a.text(), group.name), conj)
 
 
 def sn_normal_membership(b, a):
@@ -393,53 +388,93 @@ def idempotents(semigroup):
     return {_from_row(x) for x in semigroup.rows if _is_idempotent(x)}
 
 
+def _components(succ):
+    """The strongly connected components, as lists, of the graph on
+    0..len(succ)-1 in which v has the successors succ[v]: Tarjan's walk,
+    kept on an explicit path.  A vertex is numbered by its place on the
+    stack, its `low` is the least number it reaches there, and the vertices
+    of a finished component get a number past every place."""
+    done = len(succ) + 1
+    number, low, stack = [0] * len(succ), [0] * len(succ), []
+    for root in range(len(succ)):
+        path = [] if number[root] else [(root, iter(succ[root]))]
+        while path:
+            v, edges = path[-1]
+            if not number[v]:
+                stack.append(v)
+                number[v] = low[v] = len(stack)
+            for w in edges:
+                if not number[w]:
+                    path.append((w, iter(succ[w])))
+                    break
+                if number[w] < low[v]:
+                    low[v] = number[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == number[v]:
+                    component = stack[low[v] - 1:]
+                    del stack[low[v] - 1:]
+                    for w in component:
+                        number[w] = done
+                    yield component
+
+
 def is_regular(semigroup):
     """Every x has some y in the semigroup with x y x = x.
 
-    x y x = x says exactly that y sends each image point z of x into the
-    fiber of x over z, so regularity of x means: some section of the fibers
-    of x over its image occurs as the restriction to im(x) of an element.
-    The restrictions to an image set, the set's row translated through
-    every element's table, are collected the first time an x with that
-    image comes up, and each x probes its own fiber sections against them.
+    The semigroup S is an ideal of the monoid M that its `gens` generate,
+    and regularity is read off M's right Cayley graph over them, with an
+    edge from x to x g for each generator g, in three steps:
+    - x is regular in S iff it is regular in M: from x = x y x with y in
+      M follows x = x (y x y) x, and y x y lies in S;
+    - x is regular in M iff its R-class in M holds an idempotent;
+    - the R-classes of M are the strongly connected components of the
+      graph, and the edges from S stay in S.
+    So S is regular iff every component of the graph on S holds an
+    idempotent.  Each generator's table translates all the rows in one
+    `map`, so a semigroup that is its own generating set costs |S|^2
+    translations; an edge that leaves the rows is a ValueError.
     """
-    n = semigroup.degree
-    tables = point_tables(semigroup.rows)
-    restrictions = {}
-    for x in semigroup.rows:
-        image = _image_set(x)
-        bucket = restrictions.get(image)
-        if bucket is None:
-            bucket = restrictions[image] = set(
-                map(encode_points(image, n).translate, tables))
-        fibers = _fibers(x)
-        if bucket.isdisjoint(map(encode_points,
-                                 product(*(fibers[z] for z in image)),
-                                 repeat(n))):
-            return False
-    return True
+    rows = list(semigroup.rows)
+    index = dict(zip(rows, range(len(rows))))
+    try:
+        succ = list(zip(*(map(index.__getitem__, map(
+            type(g).translate, rows, repeat(point_table(g))))
+            for g in semigroup.gens)))
+    except KeyError:
+        raise ValueError("the rows are not closed under their generators") \
+            from None
+    return all(any(_is_idempotent(rows[v]) for v in component)
+               for component in _components(succ))
 
 
 def is_idempotent_generated(semigroup, cap=DEFAULT_SEMIGROUP_CAP):
     """Whether the idempotents generate the semigroup.  Rank by rank, from
     the highest, the idempotents that the closure so far misses join the
-    generators, and the closure is taken again, so the closure of the ones
-    taken is the closure of them all.  (Closing after each idempotent
-    instead takes fewer generators but more closures: 2.8 times the time
-    on an arc of 105 maps with 25 idempotents.)"""
+    generators, and the closure resumes from them and from the closed rows
+    times them, so no word in the earlier generators alone is walked again.
+    A closure that holds as many rows as the semigroup either is it or has
+    left it, never to return, so the walk stops there.  (Closing after each
+    idempotent instead takes fewer generators but more closures: 2.8 times
+    the time on an arc of 105 maps with 25 idempotents.)"""
     def rank(row):
         return len(set(row))
 
-    gens = []
-    elements = frozenset()
-    ids = sorted((x for x in semigroup.rows if _is_idempotent(x)),
+    rows = semigroup.rows
+    tables, closed = [], frozenset()
+    ids = sorted((x for x in rows if _is_idempotent(x)),
                  key=lambda x: (-rank(x), x))
     for _, same_rank in groupby(ids, key=rank):
-        missed = [e for e in same_rank if e not in elements]
-        if missed:
-            gens += missed
-            elements = _close(gens, cap)
-    return elements == semigroup.rows
+        missed = [e for e in same_rank if e not in closed]
+        if missed and len(closed) < len(rows):
+            new = point_tables(missed)
+            tables += new
+            closed = walk_rows(
+                missed + [x.translate(t) for t in new for x in closed],
+                tables, cap, EnumerationCapExceeded, closed, len(rows))
+    return closed == rows
 
 
 def contains_all_constants(semigroup):

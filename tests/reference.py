@@ -10,6 +10,9 @@ rest of the shape under the public `act_ordered_partition`.
 `two_sided_ideal` builds S^1 x S^1 the way `parthom.tsemi` did before its
 restriction tables: every y in S^1 x translated through every element's
 table.  `is_regular_by_definition` tries every y for every x.
+`omega_power` and `iter_unordered_partitions` are test helpers that
+nothing in `parthom` calls: the idempotent power of a map, by repeated
+multiplication, and every set partition of a shape, each once.
 `restarted_schreier_sims` completes a chain by the plain scan: every time
 it climbs back to a level, it sifts that level's Schreier generators again
 from the first tree point and the first generator.  It shares `_absorb`,
@@ -20,6 +23,7 @@ the generators it checked there, and must build the same chain.
 
 import math
 from functools import lru_cache
+from itertools import combinations
 
 from parthom.partitions import (
     act_ordered_partition,
@@ -67,6 +71,77 @@ def is_regular_by_definition(rows):
     return all(any(x.translate(table).translate(tables[x]) == x
                    for table in tables.values())
                for x in rows)
+
+
+def omega_power(a):
+    """The unique idempotent among the positive powers of a.
+
+    Successive powers a, a^2, a^3, ... enter a cycle after a tail of length
+    at most n-1, and exactly one power in the cycle is idempotent, so at
+    most 2n multiplications suffice.  (Repeated squaring would skip the
+    idempotent whenever the cycle length has an odd prime factor.)
+    """
+    x = a
+    for _ in range(2 * a.degree + 2):
+        if x * x == x:
+            return x
+        x = x * a
+    raise ArithmeticError("no idempotent power found for %s" % a.text())
+
+
+def iter_unordered_partitions(shape, points=None):
+    """Yield all set partitions of the given shape, each exactly once.
+
+    Equal-size blocks are ordered by smallest element, enforced by anchoring
+    each block of a size-class on the smallest remaining point.
+    """
+    if points is None:
+        points = tuple(range(sum(shape)))
+    else:
+        points = tuple(sorted(points))
+    if len(points) != sum(shape):
+        raise ValueError("shape sums to %d but %d points given"
+                         % (sum(shape), len(points)))
+
+    # group the shape into (size, multiplicity) runs, largest first
+    runs = []
+    for k in shape:
+        if runs and runs[-1][0] == k:
+            runs[-1][1] += 1
+        else:
+            runs.append([k, 1])
+
+    def split_run(pool, k, m):
+        """Unordered splits of pool into m blocks of size k, increasing mins.
+
+        Anchoring each block on the smallest point still in the pool kills
+        the m! orderings, and only works because the pool is fixed first.
+        """
+        if m == 0:
+            yield []
+            return
+        anchor = pool[0]
+        rest = pool[1:]
+        for others in combinations(rest, k - 1):
+            block = (anchor,) + others
+            taken = set(others)
+            new_pool = tuple(x for x in rest if x not in taken)
+            for tail in split_run(new_pool, k, m - 1):
+                yield [block] + tail
+
+    def rec(run_idx, remaining):
+        if run_idx == len(runs):
+            yield ()
+            return
+        k, m = runs[run_idx]
+        for chosen in combinations(remaining, k * m):
+            taken = set(chosen)
+            rest = tuple(x for x in remaining if x not in taken)
+            for head in split_run(chosen, k, m):
+                for tail in rec(run_idx + 1, rest):
+                    yield tuple(head) + tail
+
+    yield from rec(0, points)
 
 
 def induced_action(group, domain):

@@ -25,7 +25,6 @@ from parthom.partitions import (
     format_set_partition,
     integer_partitions,
     iter_ordered_partitions,
-    iter_unordered_partitions,
     ordered_per_unordered,
     parse_int_partition,
     parse_set_partition,
@@ -33,6 +32,7 @@ from parthom.partitions import (
     refines,
 )
 from parthom.snpairs import is_sn_pair, symbolic_clause
+from reference import iter_unordered_partitions
 
 
 def shapes(max_n=8):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from reference import omega_power
 from parthom import tsemi
 from parthom.catalog import build_group, catalog_entries
 from parthom.partitions import (
@@ -43,7 +44,6 @@ from parthom.tsemi import (
     is_idempotent_generated,
     is_regular,
     local_group_at,
-    omega_power,
     parse_transformation,
     sn_normal_membership,
 )
@@ -1094,6 +1094,69 @@ def test_regularity_matches_its_definition_on_random_closures():
         assert regular == reference.is_regular_by_definition(s.rows), gens
         verdicts.add(regular)
     assert verdicts == {True, False}
+
+
+def test_regularity_matches_its_definition_on_small_cyclic_arcs():
+    """is_regular, read off the right Cayley graph over a and C_6's
+    generator, against its definition on every distinct arc of at most
+    1,500 maps among the arcs of one map per G x G orbit; and on two of
+    them rebuilt by `TransSemigroup(degree, maps)`, whose maps are then
+    their own generators: the arc of 1,1,1,1,3,5 (186 maps), which is not
+    regular, and that of 1,1,1,1,3,4 (258 maps), which is."""
+    group = build_group("c:6")
+    arcs = set()
+    verdicts = set()
+    for row in double_class_representatives(group):
+        try:
+            s = generate_arc(Transformation(row), group, cap=1500 + 6)
+        except EnumerationCapExceeded:
+            continue
+        if frozenset(s.rows) not in arcs:
+            arcs.add(frozenset(s.rows))
+            regular = is_regular(s)
+            assert regular == reference.is_regular_by_definition(s.rows)
+            verdicts.add(regular)
+    assert verdicts == {True, False}
+    for text, size, regular in (("1,1,1,1,3,5", 186, False),
+                                ("1,1,1,1,3,4", 258, True)):
+        s = generate_arc(parse_transformation(text), group)
+        assert len(s) == size and frozenset(s.rows) in arcs
+        assert is_regular(s) == is_regular(TransSemigroup(6, s)) == regular
+
+
+def test_regularity_needs_rows_closed_under_their_generators():
+    broken = TransSemigroup(4, [parse_transformation("2,3,4,2")])
+    with pytest.raises(ValueError, match="not closed"):
+        is_regular(broken)
+
+
+def test_idempotent_closures_stop_once_they_hold_the_semigroup(monkeypatch):
+    """The closure of the 60 rank-3 idempotents of the S_5 arc of 1,1,3,3,5
+    holds all 1,205 maps after two levels, and translates no third one."""
+    levels = []
+
+    class Tables(list):
+        def __iter__(self):
+            levels.append(len(self))
+            return list.__iter__(self)
+
+    walk = tsemi.walk_rows
+    monkeypatch.setattr(tsemi, "walk_rows", lambda seeds, tables, *rest:
+                        walk(seeds, Tables(tables), *rest))
+    s = generate_arc(MAP_B5, build_group("s:5"))
+    assert len(s) == 1205 and is_idempotent_generated(s)
+    assert levels == [60, 60]
+
+
+def test_idempotent_closures_resume_from_the_closed_rows():
+    """1,1,3,4 and 1,2,1,2 generate four maps, among them their product
+    1,1,1,2, which is not idempotent.  The closure of the rank-3 idempotent
+    holds it alone, and the product is reached only when the rank-2 one
+    joins, as a closed row times the new one."""
+    e, f = parse_transformation("1,1,3,4"), parse_transformation("1,2,1,2")
+    s = closure([e, f])
+    assert len(s) == 4 and (e * f).text() == "1,1,1,2"
+    assert e * f not in idempotents(s) and is_idempotent_generated(s)
 
 
 def test_green_rejects_foreign_elements():
