@@ -8,6 +8,10 @@ Projective-line labeling is fixed once: index 0 is the field zero, indices
 1..q-1 are the powers alpha^0, alpha^1, ..., alpha^(q-2) of the primitive
 element, and index q is the point at infinity.  Affine groups act on the field
 elements in their integer encoding order.
+
+Numbers in specs, group files and the manifest are plain ASCII digits
+(`partitions.parse_number`); an unreadable file or a malformed manifest
+raises CatalogError.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .fields import GF, factor_prime_power
+from .partitions import parse_number
 from .perm import PermGroup, Permutation, parse_group_file
 
 
@@ -24,11 +29,12 @@ class CatalogError(ValueError):
     """Bad group spec, missing data file, or failed data validation."""
 
 
+BUNDLED_DATA = Path(__file__).parent / "data"
+
+
 def data_dir():
     override = os.environ.get("PARTHOM_DATA")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
+    return Path(override) if override else BUNDLED_DATA
 
 
 # ---------------------------------------------------------------------------
@@ -158,25 +164,39 @@ def pgammal2(q):
 # ---------------------------------------------------------------------------
 # bundled data
 
+def read_data(path):
+    """The text of a data or group file, or CatalogError if unreadable."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise CatalogError("cannot read %s: %s" % (path, reason)) from None
+
+
 def read_manifest():
-    path = data_dir() / "manifest.txt"
-    if not path.exists():
-        raise CatalogError("manifest not found: %s" % path)
+    """The manifest's entries by name, as dicts of fields with the numbers
+    read; a missing or malformed field raises CatalogError naming it."""
     entries = {}
     current = {}
-    for rawline in path.read_text().splitlines():
+    for rawline in read_data(data_dir() / "manifest.txt").splitlines() + [""]:
         line = rawline.split("#", 1)[0].strip()
-        if not line:
-            if current:
-                entries[current["name"]] = current
-                current = {}
-            continue
-        if ":" not in line:
-            raise CatalogError("manifest line without ':': %r" % line)
-        key, value = line.split(":", 1)
-        current[key.strip()] = value.strip()
-    if current:
-        entries[current["name"]] = current
+        if line:
+            if ":" not in line:
+                raise CatalogError("manifest line without ':': %r" % line)
+            key, value = line.split(":", 1)
+            current[key.strip()] = value.strip()
+        elif current:
+            for key, parse in (("name", str), ("file", str),
+                               ("degree", parse_number),
+                               ("expected_order", parse_number)):
+                try:
+                    current[key] = parse(current[key])
+                except (KeyError, ValueError) as exc:
+                    raise CatalogError("manifest entry %s, field %s: %s" % (
+                        current.get("name"), key,
+                        "missing" if key not in current else exc)) from None
+            entries[current["name"]] = current
+            current = {}
     return entries
 
 
@@ -184,28 +204,21 @@ def mathieu(n):
     if n not in (11, 12, 23, 24):
         raise CatalogError("no bundled group on %d points" % n)
     name = "m%d" % n
-    manifest = read_manifest()
-    if name not in manifest:
+    entry = read_manifest().get(name)
+    if entry is None:
         raise CatalogError("manifest has no entry for %s" % name)
-    entry = manifest[name]
-    path = data_dir() / entry["file"]
-    if not path.exists():
-        raise CatalogError("group file missing: %s" % path)
-    group = parse_group_file(path.read_text(), name="M_%d" % n)
-    if group.degree != int(entry["degree"]):
-        raise CatalogError("%s: degree %d, manifest says %s"
+    group = from_file(data_dir() / entry["file"], name="M_%d" % n)
+    if group.degree != entry["degree"]:
+        raise CatalogError("%s: degree %d, manifest says %d"
                            % (name, group.degree, entry["degree"]))
-    if group.order() != int(entry["expected_order"]):
-        raise CatalogError("%s: order %d, manifest says %s"
+    if group.order() != entry["expected_order"]:
+        raise CatalogError("%s: order %d, manifest says %d"
                            % (name, group.order(), entry["expected_order"]))
     return group
 
 
-def from_file(path):
-    path = Path(path)
-    if not path.exists():
-        raise CatalogError("group file missing: %s" % path)
-    return parse_group_file(path.read_text(), name=path.name)
+def from_file(path, name=None):
+    return parse_group_file(read_data(path), name=name or Path(path).name)
 
 
 def fix_point_extension(group):
@@ -247,11 +260,7 @@ def build_group(spec):
         raise CatalogError("unknown family %r (have: %s)"
                            % (family, ", ".join(sorted(FAMILY_BUILDERS))))
     try:
-        n = int(param)
-    except ValueError:
-        raise CatalogError("parameter must be an integer, got %r" % param)
-    try:
-        return FAMILY_BUILDERS[family](n)
+        return FAMILY_BUILDERS[family](parse_number(param.strip()))
     except (ValueError, ArithmeticError) as exc:
         raise CatalogError("cannot build %s: %s" % (spec, exc))
 
@@ -337,8 +346,9 @@ def catalog_entries(max_degree=12, include_sym_alt=True):
 def validate_catalog(progress=None):
     """Recompute everything the manifest and the spot-fact list promise.
 
-    Returns a report dict with one entry per check; raises nothing, callers
-    look at report["failures"].
+    Returns a report dict of the checks and of their failures.  An
+    unreadable or malformed manifest raises CatalogError, and a check
+    token's t that is not plain digits, or is out of range, ValueError.
     """
     from .homogeneity import (
         is_set_transitive,
@@ -360,20 +370,17 @@ def validate_catalog(progress=None):
         except CatalogError as exc:
             note("%s loadable" % name, False, str(exc))
             continue
-        note("%s degree" % name, group.degree == int(entry["degree"]),
+        note("%s degree" % name, group.degree == entry["degree"],
              "degree %d" % group.degree)
         order = group.order()
-        note("%s order" % name, order == int(entry["expected_order"]),
-             "order %d vs %s" % (order, entry["expected_order"]))
+        note("%s order" % name, order == entry["expected_order"],
+             "order %d vs %d" % (order, entry["expected_order"]))
         for token in entry.get("checks", "").split():
-            if token == "transitive":
-                ok = is_t_homogeneous(group, 1)
-            elif token.endswith("-transitive"):
-                ok = is_t_transitive(group, int(token.split("-")[0]))
-            elif token.endswith("-homogeneous"):
-                ok = is_t_homogeneous(group, int(token.split("-")[0]))
-            else:
-                ok = False
+            # "t-transitive" or "t-homogeneous", t = 1 when left out
+            t, dash, kind = token.rpartition("-")
+            test = {"transitive": is_t_transitive,
+                    "homogeneous": is_t_homogeneous}.get(kind)
+            ok = bool(test) and test(group, parse_number(t) if dash else 1)
             note("%s %s" % (name, token), ok, "recomputed")
 
     # spot facts about the classical families

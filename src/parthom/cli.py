@@ -19,7 +19,7 @@ from .homogeneity import (
     decide_t_homogeneous,
     decide_t_transitive,
 )
-from .partitions import format_int_partition, parse_int_partition
+from .partitions import format_int_partition, parse_int_partition, parse_number
 from .perm import (
     DEFAULT_ORBIT_CAP,
     EnumerationCapExceeded,
@@ -187,21 +187,24 @@ def _add_group(parser):
                              "file:PATH, fix+SPEC")
 
 
-def _cap(text):
-    """A --cap value: an integer of at least 1, since every walk holds its
-    seed."""
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) \
-            from None
-    if cap < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % cap)
-    return cap
+def _number(least):
+    """The argparse type of a number flag: `parse_number`'s digits, at least
+    `least`.  A refusal names the bound, so "-3" reads as below it."""
+    def number(text):
+        try:
+            value = parse_number(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d in plain ASCII digits, got %r"
+                % (least, text))
+        return value
+    return number
 
 
 def _add_cap(parser, default):
-    parser.add_argument("--cap", type=_cap, default=default,
+    parser.add_argument("--cap", type=_number(1), default=default,
                         help="orbit/closure size cap (default %d)" % default)
 
 
@@ -221,13 +224,13 @@ def build_parser():
 
     p = sub.add_parser("orbit", help="orbit of a point, 1-based")
     _add_group(p)
-    p.add_argument("--point", type=int, required=True)
+    p.add_argument("--point", type=_number(0), required=True)
     _add_cap(p, DEFAULT_ORBIT_CAP)
 
     p = sub.add_parser("check-homog",
                        help="t-homogeneity and t-transitivity")
     _add_group(p)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_number(0), required=True)
 
     p = sub.add_parser("check-lambda",
                        help="partition-homogeneity and -transitivity")

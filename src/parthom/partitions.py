@@ -26,23 +26,24 @@ from functools import lru_cache
 from itertools import combinations
 
 
+def parse_number(token):
+    """The number `token` writes in plain ASCII digits, or ValueError.  Every
+    number read from text (specs, flags, group and data files) comes through
+    here: `int` alone would also read signs, spaces, underscores and other
+    scripts' digits, taking "1_0" for 10."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError("not a number: %r" % token)
+    return int(token)
+
+
 def parse_numbers(text):
-    """The numbers of a comma- or space-separated list such as "3,2,1".
-    Each token must be plain ASCII digits: `int` alone would also read
-    signs, underscores and other scripts' digits, taking "1_0" for 10."""
-    values = []
-    for tok in text.replace(",", " ").split():
-        if not (tok.isascii() and tok.isdigit()):
-            raise ValueError("not a number: %r" % tok)
-        values.append(int(tok))
-    return values
+    """The numbers of a comma- or space-separated list such as "3,2,1"."""
+    return [parse_number(tok) for tok in text.replace(",", " ").split()]
 
 
 def parse_int_partition(text, n=None):
-    """Parse "3,2,1" (or "3 2 1") into a canonical integer partition.
-
-    If n is given the parts must sum to n.
-    """
+    """Parse "3,2,1" (or "3 2 1") into a canonical integer partition, whose
+    parts must sum to n if n is given."""
     return check_shape(parse_numbers(text), n)
 
 

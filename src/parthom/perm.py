@@ -27,6 +27,8 @@ import itertools
 import math
 import operator
 
+from .partitions import parse_number, parse_numbers
+
 DEFAULT_ORBIT_CAP = 10**7
 DEFAULT_ENUM_CAP = 10**6
 
@@ -154,31 +156,14 @@ def _unchecked(images):
 
 
 def parse_cycles(text, degree):
-    """Parse 1-based cycle notation like '(1 2 3)(4 5)' or '(1,2,3)'."""
-    text = text.strip()
-    if text in ("()", ""):
-        return Permutation.identity(degree)
-    if not text.startswith("("):
-        raise ValueError("cycle notation must start with '('")
-    cycles = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        if text[pos] != "(":
-            raise ValueError("unexpected %r in cycle notation" % text[pos])
-        end = text.find(")", pos)
-        if end < 0:
-            raise ValueError("unbalanced '(' in cycle notation")
-        body = text[pos + 1:end].replace(",", " ").split()
-        if body:
-            try:
-                cycles.append(tuple(int(tok) for tok in body))
-            except ValueError:
-                raise ValueError("non-integer point in cycle %r" % text[pos:end + 1])
-        pos = end + 1
-    return Permutation.from_cycles(degree, cycles)
+    """Parse 1-based cycle notation like '(1 2 3)(4 5)' or '(1,2,3)'; an
+    empty text or '()' is the identity."""
+    *cycles, rest = text.split(")")
+    cycles = [c.lstrip() for c in cycles]
+    if rest.strip() or not all(c.startswith("(") for c in cycles):
+        raise ValueError("not cycle notation: %r" % text)
+    return Permutation.from_cycles(
+        degree, [tuple(parse_numbers(c[1:])) for c in cycles])
 
 
 # ---------------------------------------------------------------------------
@@ -757,35 +742,26 @@ def orbit_count(group, domain, act):
 
 
 def parse_group_file(text, name=None):
-    """Parse the plain-text group format.
-
-    First effective line: `degree <n>`.  Each following effective line is one
-    generator, either `img: i1 i2 ... in` (1-based image row) or disjoint
-    cycles like `(1 2 3)(4 5)`.  `#` starts a comment.  Malformed input raises
-    GroupFileError naming the line.
-    """
+    """Parse the plain-text group format: a first effective line `degree <n>`,
+    then one generator a line, an `img: i1 i2 ... in` image row (1-based) or
+    disjoint cycles like `(1 2 3)(4 5)`.  `#` starts a comment.  Malformed
+    input raises GroupFileError naming the line."""
     degree = None
     gens = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
-        if degree is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "degree":
-                raise GroupFileError(
-                    "line %d: expected 'degree <n>', got %r" % (lineno, line))
-            try:
-                degree = int(parts[1])
-            except ValueError:
-                raise GroupFileError(
-                    "line %d: degree is not an integer: %r" % (lineno, parts[1]))
-            if degree < 1:
-                raise GroupFileError("line %d: degree must be >= 1" % lineno)
-            continue
         try:
-            if line.startswith("img:"):
-                values = [int(tok) for tok in line[4:].replace(",", " ").split()]
+            if degree is None:
+                parts = line.split()
+                if len(parts) != 2 or parts[0] != "degree":
+                    raise ValueError("expected 'degree <n>', got %r" % line)
+                degree = parse_number(parts[1])
+                if degree < 1:
+                    raise ValueError("degree must be >= 1")
+            elif line.startswith("img:"):
+                values = parse_numbers(line[4:])
                 if len(values) != degree:
                     raise ValueError(
                         "image row has %d entries, degree is %d"
@@ -796,11 +772,9 @@ def parse_group_file(text, name=None):
             else:
                 raise ValueError("expected 'img:' row or cycle notation")
         except ValueError as exc:
-            raise GroupFileError("line %d: %s" % (lineno, exc))
+            raise GroupFileError("line %d: %s" % (lineno, exc)) from None
     if degree is None:
         raise GroupFileError("no 'degree <n>' line found")
-    if not gens:
-        gens = [Permutation.identity(degree)]
     return PermGroup(degree, gens, name=name)
 
 

@@ -11,8 +11,7 @@ it.
 
 from __future__ import annotations
 
-from importlib import resources
-
+from .catalog import BUNDLED_DATA, build_group, read_data
 from .homogeneity import (
     decide_lambda_homogeneous,
     decide_t_homogeneous,
@@ -25,6 +24,7 @@ from .partitions import (
     coarsening_feasible,
     format_int_partition,
     integer_partitions,
+    parse_number,
 )
 from .tsemi import Transformation
 
@@ -195,43 +195,42 @@ class FixtureTable:
 
 
 def parse_fixture_text(text):
+    """Tables of `[group SPEC degree N]` headers and `lambda=SHAPE
+    expect=true|false` rows; a malformed line is a ValueError naming it."""
     tables = []
-    current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ValueError("line %d: bad table header" % lineno)
-            fields = line[1:-1].split()
-            if len(fields) != 4 or fields[0] != "group" or fields[2] != "degree":
-                raise ValueError("line %d: bad table header" % lineno)
-            current = FixtureTable(fields[1], int(fields[3]))
-            tables.append(current)
-            continue
-        if current is None:
-            raise ValueError("line %d: row before any table header" % lineno)
-        parts = dict(tok.split("=", 1) for tok in line.split())
-        if set(parts) != {"lambda", "expect"}:
-            raise ValueError("line %d: expected lambda=... expect=..." % lineno)
-        if parts["expect"] not in ("true", "false"):
-            raise ValueError("line %d: expect must be true or false" % lineno)
-        shape = tuple(int(p) for p in parts["lambda"].split(","))
-        current.rows.append((shape, parts["expect"] == "true", parts["lambda"]))
+        try:
+            if line.startswith("["):
+                fields = line[1:-1].split() if line.endswith("]") else ()
+                if len(fields) != 4 or fields[::2] != ["group", "degree"]:
+                    raise ValueError("bad table header")
+                tables.append(FixtureTable(fields[1], parse_number(fields[3])))
+                continue
+            if not tables:
+                raise ValueError("row before any table header")
+            parts = dict(tok.split("=", 1) for tok in line.split())
+            if set(parts) != {"lambda", "expect"}:
+                raise ValueError("expected lambda=... expect=...")
+            if parts["expect"] not in ("true", "false"):
+                raise ValueError("expect must be true or false")
+            shape = tuple(map(parse_number, parts["lambda"].split(",")))
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (lineno, exc)) from None
+        tables[-1].rows.append(
+            (shape, parts["expect"] == "true", parts["lambda"]))
     return tables
 
 
 def load_fixture_tables():
-    text = resources.files("parthom").joinpath(
-        "data/classification_fixtures.txt").read_text()
-    return parse_fixture_text(text)
+    return parse_fixture_text(
+        read_data(BUNDLED_DATA / "classification_fixtures.txt"))
 
 
 def verify_fixtures(tables=None):
     """Recompute every fixture row; report mismatches rather than raising."""
-    from .catalog import build_group
-
     if tables is None:
         tables = load_fixture_tables()
     report = {"tables": [], "ok": True}

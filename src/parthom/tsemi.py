@@ -421,6 +421,35 @@ def _components(succ):
                     yield component
 
 
+def _not_closed(*_):  # a walk's `error` too, which passes it a message
+    return ValueError("the rows are not closed under their generators")
+
+
+def _rank(row):
+    return len(set(row))
+
+
+def _close_greedily(candidates, rows, cap, error, batch=None):
+    """The candidates that the closure so far misses, taken by rank from the
+    highest, a batch of equal `batch(x)` at a time (single rows when `batch`
+    is None), and their closure.  Each closure resumes from the closed rows
+    and from them times the new rows, so no word in the earlier rows alone
+    is walked again.  A closure that holds as many rows as `rows` is that
+    set or has left it, never to return, so the walk stops there."""
+    kept, tables, closed = [], [], frozenset()
+    ranked = sorted(candidates, key=lambda x: (-_rank(x), x))
+    for _, same in groupby(ranked, key=batch):
+        missed = [x for x in same if x not in closed]
+        if missed and len(closed) < len(rows):
+            kept += missed
+            new = point_tables(missed)
+            tables += new
+            closed = walk_rows(
+                missed + [x.translate(t) for t in new for x in closed],
+                tables, cap, error, closed, len(rows))
+    return kept, closed
+
+
 def is_regular(semigroup):
     """Every x has some y in the semigroup with x y x = x.
 
@@ -434,18 +463,20 @@ def is_regular(semigroup):
       graph, and the edges from S stay in S.
     So S is regular iff every component of the graph on S holds an
     idempotent.  Each generator's table translates all the rows in one
-    `map`, so a semigroup that is its own generating set costs |S|^2
-    translations; an edge that leaves the rows is a ValueError.
+    `map`, so a semigroup that is its own generating set, which would cost
+    |S|^2 translations, is read over a smaller one (`_close_greedily`).  An
+    edge or a closure that leaves the rows is a ValueError.
     """
-    rows = list(semigroup.rows)
+    rows, gens = list(semigroup.rows), semigroup.gens
+    if gens is semigroup.rows:
+        gens = _close_greedily(rows, rows, len(rows), _not_closed)[0]
     index = dict(zip(rows, range(len(rows))))
     try:
         succ = list(zip(*(map(index.__getitem__, map(
             type(g).translate, rows, repeat(point_table(g))))
-            for g in semigroup.gens)))
+            for g in gens)))
     except KeyError:
-        raise ValueError("the rows are not closed under their generators") \
-            from None
+        raise _not_closed() from None
     return all(any(_is_idempotent(rows[v]) for v in component)
                for component in _components(succ))
 
@@ -453,28 +484,12 @@ def is_regular(semigroup):
 def is_idempotent_generated(semigroup, cap=DEFAULT_SEMIGROUP_CAP):
     """Whether the idempotents generate the semigroup.  Rank by rank, from
     the highest, the idempotents that the closure so far misses join the
-    generators, and the closure resumes from them and from the closed rows
-    times them, so no word in the earlier generators alone is walked again.
-    A closure that holds as many rows as the semigroup either is it or has
-    left it, never to return, so the walk stops there.  (Closing after each
-    idempotent instead takes fewer generators but more closures: 2.8 times
-    the time on an arc of 105 maps with 25 idempotents.)"""
-    def rank(row):
-        return len(set(row))
-
+    generators (`_close_greedily`).  (Closing after each idempotent instead
+    takes fewer generators but more closures: 2.8 times the time on an arc
+    of 105 maps with 25 idempotents.)"""
     rows = semigroup.rows
-    tables, closed = [], frozenset()
-    ids = sorted((x for x in rows if _is_idempotent(x)),
-                 key=lambda x: (-rank(x), x))
-    for _, same_rank in groupby(ids, key=rank):
-        missed = [e for e in same_rank if e not in closed]
-        if missed and len(closed) < len(rows):
-            new = point_tables(missed)
-            tables += new
-            closed = walk_rows(
-                missed + [x.translate(t) for t in new for x in closed],
-                tables, cap, EnumerationCapExceeded, closed, len(rows))
-    return closed == rows
+    return _close_greedily(filter(_is_idempotent, rows), rows, cap,
+                           EnumerationCapExceeded, _rank)[1] == rows
 
 
 def contains_all_constants(semigroup):

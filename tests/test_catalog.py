@@ -198,10 +198,33 @@ def test_build_group_from_file(tmp_path):
     assert g.order() == 3
 
 
+def _directory(tmp_path, monkeypatch):
+    return "file:%s" % tmp_path
+
+
+def _binary_file(tmp_path, monkeypatch):
+    (tmp_path / "g.grp").write_bytes(b"degree 3\n\xc0\n")
+    return "file:%s" % (tmp_path / "g.grp")
+
+
+def _manifest_without_file(tmp_path, monkeypatch):
+    (tmp_path / "manifest.txt").write_text(
+        "name: m11\ndegree: 11\nexpected_order: 7920\n")
+    monkeypatch.setenv("PARTHOM_DATA", str(tmp_path))
+    return "m:11"
+
+
 @pytest.mark.parametrize("bad", [
     "x:5", "s:x", "s5", "m:13", "file:/nonexistent/g.grp", "d:2", "",
+    # int() alone read these three as S_10, C_5 and S_5
+    "s:1_0", "c:\uff15", "s:+5",
+    pytest.param(_directory, id="directory"),
+    pytest.param(_binary_file, id="binary-file"),
+    pytest.param(_manifest_without_file, id="manifest-without-file"),
 ])
-def test_build_group_bad_specs(bad):
+def test_build_group_bad_specs(bad, tmp_path, monkeypatch):
+    if callable(bad):
+        bad = bad(tmp_path, monkeypatch)
     with pytest.raises(CatalogError):
         build_group(bad)
 

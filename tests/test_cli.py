@@ -79,6 +79,21 @@ def test_cap_below_one_is_a_usage_error(capsys, verb, cap):
     assert "argument --cap: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag, token", [
+    (["check-homog", "--group", "s:5", "--t", "0_2"], "--t", "0_2"),
+    (["orbit", "--group", "s:5", "--point", "\uff11"], "--point", "\uff11"),
+    (["orbit", "--group", "s:5", "--point", "1", "--cap", "1_000"], "--cap",
+     "1_000")], ids=["t", "point", "cap"])
+def test_flag_numbers_are_plain_ascii_digits(capsys, argv, flag, token):
+    # int() alone read these as 2, 1 and 1000, and the verbs answered
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: must be at least" % flag in err
+    assert "got %r" % token in err
+
+
 def test_check_homog(capsys):
     code, out, _ = invoke(capsys, "check-homog", "--group", "agl1:5",
                           "--t", "3")

@@ -423,6 +423,9 @@ def test_group_file_round_trip():
     ("degree 3\n(1 4)\n", "line 2"),
     ("degree 3\nhello\n", "line 2"),
     ("", "degree"),
+    ("degree 1_0\n", "line 1: not a number: '1_0'"),
+    ("degree 10\n(1 1_0)\n", "line 2: not a number: '1_0'"),
+    ("degree 3\nimg: 2 1 +3\n", "line 2: not a number: '+3'"),
 ])
 def test_group_file_errors(bad, needle):
     with pytest.raises(GroupFileError) as err:

@@ -1130,6 +1130,39 @@ def test_regularity_needs_rows_closed_under_their_generators():
         is_regular(broken)
 
 
+def test_regularity_of_a_semigroup_that_is_its_own_generating_set(
+        monkeypatch):
+    """Such a semigroup's Cayley graph is built over far fewer generators
+    than its rows: each of the 1,205 maps of the S_5 arc of 1,1,3,3,5,
+    rebuilt by `TransSemigroup`, has under 121 edges, not 1,205.  Random
+    closures rebuilt the same way get their verdict by definition, and
+    random sets of maps that are not closed are refused."""
+    own = TransSemigroup(5, generate_arc(MAP_B5, build_group("s:5")))
+    degrees = set()
+    components = tsemi._components
+    monkeypatch.setattr(tsemi, "_components", lambda succ: degrees.update(
+        map(len, succ)) or components(succ))
+    assert is_regular(own) and len(own) == 1205
+    assert len(degrees) == 1 and degrees.pop() < len(own) // 10
+    monkeypatch.undo()
+    rng = random.Random(45)
+    verdicts = set()
+    for _ in range(40):
+        n = rng.randint(3, 5)
+        gens = [Transformation(rng.choices(range(n), k=n))
+                for _ in range(rng.randint(1, 2))]
+        rebuilt = TransSemigroup(n, closure(gens))
+        regular = is_regular(rebuilt)
+        assert regular == reference.is_regular_by_definition(rebuilt.rows)
+        verdicts.add(regular)
+        maps = TransSemigroup(n, [Transformation(rng.choices(range(n), k=n))
+                                  for _ in range(rng.randint(2, 6))])
+        if not maps.is_closed():
+            with pytest.raises(ValueError, match="not closed"):
+                is_regular(maps)
+    assert verdicts == {True, False}
+
+
 def test_idempotent_closures_stop_once_they_hold_the_semigroup(monkeypatch):
     """The closure of the 60 rank-3 idempotents of the S_5 arc of 1,1,3,3,5
     holds all 1,205 maps after two levels, and translates no third one."""
